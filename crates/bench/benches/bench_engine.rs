@@ -1,16 +1,23 @@
 //! Criterion benches of the DES substrate: event-queue throughput,
 //! processor-sharing server churn, and single-task execution.
+//!
+//! The `task_sim/dense_*` cases time the fast-path task loop alone: kill
+//! plans are sampled once up front and replayed through a warm
+//! [`KillQueue`], so the sampler stays out of the measurement, and each
+//! case also prints the loop's cost per checkpoint written. Run with
+//! `cargo bench -p ckpt-bench --bench bench_engine`.
 
+use ckpt_policy::adaptive::AdaptiveCheckpointer;
 use ckpt_policy::schedule::EquidistantSchedule;
 use ckpt_sim::controller::{Controller, FixedSchedule};
 use ckpt_sim::event::EventQueue;
 use ckpt_sim::storage::{OpId, PsResource};
-use ckpt_sim::task_sim::{simulate_task, TaskSimSpec};
+use ckpt_sim::task_sim::{simulate_task, simulate_task_queued, KillQueue, TaskSimSpec};
 use ckpt_sim::time::SimTime;
 use ckpt_stats::rng::Xoshiro256StarStar;
 use ckpt_trace::spec::FailureModel;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn config() -> Criterion {
     Criterion::default()
@@ -105,9 +112,82 @@ fn bench_task_sim(c: &mut Criterion) {
     g.finish();
 }
 
+/// Replay `plans` (pre-sampled kill positions) through one warm queue,
+/// each task starting from a copy of `template`; returns the checkpoints
+/// written.
+fn replay_plans(
+    spec: &TaskSimSpec,
+    template: &Controller,
+    plans: &[Vec<f64>],
+    queue: &mut KillQueue,
+    rng: &mut Xoshiro256StarStar,
+) -> u64 {
+    let mut checkpoints = 0u64;
+    for kills in plans {
+        queue.load(kills);
+        let mut ctl = template.clone();
+        let out = simulate_task_queued(spec, queue, None, &mut ctl, rng);
+        checkpoints += u64::from(black_box(out).checkpoints);
+    }
+    checkpoints
+}
+
+/// Checkpoint-dense tasks (x ≈ 400 on a one-hour task, ~12 kills each
+/// under the failure-heavy priority 10) for the Fixed and Adaptive
+/// controllers. Besides the shim's time per batch of 64 tasks, prints the
+/// median nanoseconds per checkpoint written over the measured samples.
+fn bench_task_loop(c: &mut Criterion) {
+    let te = 3_600.0;
+    let spec = TaskSimSpec {
+        te,
+        ckpt_cost: 0.1,
+        restart_cost: 1.0,
+    };
+    let model = FailureModel::for_priority(10);
+    let mut plan_rng = Xoshiro256StarStar::new(42);
+    let plans: Vec<Vec<f64>> = (0..64)
+        .map(|_| model.sample_plan(te, &mut plan_rng).positions)
+        .collect();
+    // Formula (3) gives x = 400 intervals at MNOF = 2·C·x²/Te ≈ 8.9.
+    let mnof = 2.0 * spec.ckpt_cost * 400.0f64.powi(2) / te;
+    let cases = [
+        (
+            "dense_fixed_x400",
+            Controller::Fixed(FixedSchedule::new(
+                &EquidistantSchedule::new(te, 400).unwrap(),
+            )),
+        ),
+        (
+            "dense_adaptive_x400",
+            Controller::Adaptive(AdaptiveCheckpointer::new(te, spec.ckpt_cost, mnof).unwrap()),
+        ),
+    ];
+    let mut g = c.benchmark_group("task_sim");
+    for (name, template) in cases {
+        let mut queue = KillQueue::new();
+        let mut rng = Xoshiro256StarStar::new(7);
+        let mut ns_per_checkpoint = Vec::new();
+        g.bench_function(name, |b| {
+            let mut checkpoints = 0u64;
+            let start = Instant::now();
+            b.iter(|| {
+                checkpoints += replay_plans(&spec, &template, &plans, &mut queue, &mut rng);
+            });
+            ns_per_checkpoint.push(start.elapsed().as_nanos() as f64 / checkpoints.max(1) as f64);
+        });
+        ns_per_checkpoint.sort_by(f64::total_cmp);
+        println!(
+            "task_sim/{name:<39} ns/checkpoint: {:.2}  ({} checkpoints per batch)",
+            ns_per_checkpoint[ns_per_checkpoint.len() / 2],
+            replay_plans(&spec, &template, &plans, &mut queue, &mut rng),
+        );
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_event_queue, bench_ps_server, bench_task_sim
+    targets = bench_event_queue, bench_ps_server, bench_task_sim, bench_task_loop
 }
 criterion_main!(benches);

@@ -123,6 +123,7 @@ impl AdaptiveCheckpointer {
     }
 
     /// Current checkpoint decision.
+    #[inline]
     pub fn decision(&self) -> CheckpointDecision {
         match self.next_ckpt {
             Some(p) if p < self.te_total => CheckpointDecision::RunUntil { at_progress: p },
@@ -134,6 +135,7 @@ impl AdaptiveCheckpointer {
     /// position `at_progress` (durable progress). Per Theorem 2, if MNOF is
     /// unchanged the spacing is kept (`X` decrements implicitly); the next
     /// checkpoint is one segment further.
+    #[inline]
     pub fn on_checkpoint_complete(&mut self, at_progress: f64) {
         self.progress = at_progress.clamp(0.0, self.te_total);
         let candidate = self.progress + self.segment;
@@ -150,6 +152,7 @@ impl AdaptiveCheckpointer {
     /// progress `at_progress` (the last checkpoint or 0). The schedule for
     /// the re-executed work keeps the same spacing — the failure does not
     /// change MNOF by itself.
+    #[inline]
     pub fn on_rollback(&mut self, at_progress: f64) {
         self.progress = at_progress.clamp(0.0, self.te_total);
         let candidate = self.progress + self.segment;

@@ -5,6 +5,28 @@
 use ckpt_policy::adaptive::{AdaptiveCheckpointer, CheckpointDecision};
 use ckpt_policy::schedule::EquidistantSchedule;
 
+/// The schedule interface the executors drive, in productive-progress
+/// positions. [`FixedSchedule`] and [`AdaptiveCheckpointer`] implement it;
+/// [`Controller`] delegates to whichever it holds, and the fast-path task
+/// loop ([`crate::task_sim`]) is generic over it, so it is monomorphised
+/// once per schedule type and matches the enum once per task instead of on
+/// every callback.
+pub trait CheckpointSchedule {
+    /// Absolute productive position of the next checkpoint, strictly after
+    /// the durable progress; `None` ⇒ run to completion.
+    fn next_checkpoint(&self) -> Option<f64>;
+
+    /// A checkpoint completed: durable progress is now `pos`.
+    fn on_checkpoint_complete(&mut self, pos: f64);
+
+    /// A failure rolled the task back to durable progress `pos`.
+    fn on_rollback(&mut self, pos: f64);
+
+    /// The task's full-task MNOF belief changed (priority flip). Returns
+    /// whether the schedule was re-solved.
+    fn on_mnof_change(&mut self, mnof_full: f64) -> bool;
+}
+
 /// A fixed equidistant schedule: positions `i·w` for `i = 1..=count`
 /// (Young, Daly, and the static Formula (3) variant all use this).
 ///
@@ -12,41 +34,48 @@ use ckpt_policy::schedule::EquidistantSchedule;
 /// position `Vec`: positions are recomputed on demand with the *same*
 /// float expression [`EquidistantSchedule::positions`] uses (`i·w`), so
 /// the values are bit-identical to the historical Vec-backed schedule
-/// while construction is allocation-free and the next-checkpoint lookup
-/// is O(1) instead of a per-milestone binary search — this sits in the
-/// innermost replay loop (one lookup per checkpoint interval).
-#[derive(Debug, Clone)]
+/// while construction is allocation-free. The next-checkpoint lookup is a
+/// plain read of the cursor, and moving the cursor is O(1) on every path
+/// the executors take (see `FixedSchedule::seek`): this sits in the
+/// innermost replay loop, once per checkpoint written.
+#[derive(Debug, Clone, Copy)]
 pub struct FixedSchedule {
     /// Segment length `Te/x`.
     w: f64,
-    /// Number of checkpoints (`x − 1`).
+    /// Number of checkpoints (`x − 1`, so `next_idx + 1` cannot overflow).
     count: u32,
-    /// Index of the first position strictly after `durable` (0-based:
-    /// position `i` is `(i+1)·w`). Maintained so `next_checkpoint` is a
-    /// plain read.
+    /// Index of the first position strictly after the durable progress
+    /// (0-based: position `i` is `(i+1)·w`).
     next_idx: u32,
-    durable: f64,
+    /// Position `next_idx` (`+∞` once past the last), so the next
+    /// checkpoint is a plain read.
+    next: f64,
 }
 
 impl FixedSchedule {
     /// Build from an equidistant schedule.
     pub fn new(schedule: &EquidistantSchedule) -> Self {
-        Self {
-            w: schedule.segment_len(),
-            count: schedule.checkpoint_count(),
-            next_idx: 0,
-            durable: 0.0,
-        }
+        Self::at(schedule.segment_len(), schedule.checkpoint_count(), 0)
     }
 
     /// Build with no checkpoints at all.
     pub fn none() -> Self {
-        Self {
-            w: 0.0,
-            count: 0,
-            next_idx: 0,
-            durable: 0.0,
+        Self::at(0.0, 0, 0)
+    }
+
+    /// The schedule `(w, count)` with its cursor on position `next_idx`.
+    #[inline]
+    fn at(w: f64, count: u32, next_idx: u32) -> Self {
+        let mut s = Self {
+            w,
+            count,
+            next_idx,
+            next: f64::INFINITY,
+        };
+        if next_idx < count {
+            s.next = s.position(next_idx);
         }
+        s
     }
 
     /// Position `i` (0-based): `(i+1)·w`, the exact expression
@@ -56,24 +85,108 @@ impl FixedSchedule {
         (i + 1) as f64 * self.w
     }
 
-    /// Re-point the cursor at the first position strictly after `p` —
-    /// the incremental equivalent of the historical
+    /// Re-point the cursor at the first position strictly after `p`: the
+    /// number of positions `≤ p`, i.e. the historical
     /// `partition_point(|&q| q <= p)` over the materialized positions,
-    /// valid for arbitrary `p` (backward moves rescan from 0; they only
-    /// occur on rollbacks past the cursor, which the executors never
-    /// produce, so the forward path is the hot one).
+    /// for arbitrary `p`.
+    ///
+    /// Hand-stepped on purpose. The executors only ever move the cursor by
+    /// one (a checkpoint completes at the position under the cursor) or
+    /// not at all (a rollback lands on the last durable position, which the
+    /// cursor is already past), so the hot step checks exactly those two
+    /// cases in O(1) and sends anything else to the `#[cold]` exact search.
+    /// Do not "simplify" it back to `while position(i) <= p { i += 1 }`:
+    /// LLVM auto-vectorises that loop into a 16-lane scan, taken whenever
+    /// ≥ 32 positions remain, and pays for it on every checkpoint although
+    /// the cursor moves by one. The search takes scalars rather than
+    /// `&mut self` so the schedule can stay in registers in the task loop.
     #[inline]
     fn seek(&mut self, p: f64) {
-        if self.next_idx > 0 && self.position(self.next_idx - 1) > p {
-            self.next_idx = 0;
+        let i = self.next_idx;
+        // `next` is +∞ past the last position, so only `p = +∞` gets in
+        // here without a position to step onto; the exact search sorts it.
+        if self.next <= p {
+            // The checkpoint under the cursor was just written: step past
+            // it, which is exact iff the following position is beyond `p`.
+            let stepped = Self::at(self.w, self.count, i + 1);
+            if stepped.next > p {
+                *self = stepped;
+                return;
+            }
+        } else if i == 0 || self.position(i - 1) <= p {
+            // Already past `p` (a rollback to the last durable position).
+            return;
         }
-        while self.next_idx < self.count && self.position(self.next_idx) <= p {
-            self.next_idx += 1;
+        let exact = count_at_or_before(self.w, self.count, p);
+        *self = Self::at(self.w, self.count, exact);
+    }
+}
+
+/// The exact cursor for any `p`: how many of the positions `(i+1)·w`,
+/// `i < count`, are `≤ p`, by binary search (positions are non-decreasing
+/// because IEEE multiplication is monotone, so the predicate is a prefix).
+#[cold]
+#[inline(never)]
+fn count_at_or_before(w: f64, count: u32, p: f64) -> u32 {
+    let (mut lo, mut hi) = (0u32, count);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if (mid + 1) as f64 * w <= p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+impl CheckpointSchedule for FixedSchedule {
+    #[inline]
+    fn next_checkpoint(&self) -> Option<f64> {
+        (self.next_idx < self.count).then_some(self.next)
+    }
+
+    #[inline]
+    fn on_checkpoint_complete(&mut self, pos: f64) {
+        self.seek(pos);
+    }
+
+    #[inline]
+    fn on_rollback(&mut self, pos: f64) {
+        self.seek(pos);
+    }
+
+    /// Fixed schedules ignore MNOF changes (the paper's "static
+    /// algorithm").
+    #[inline]
+    fn on_mnof_change(&mut self, _mnof_full: f64) -> bool {
+        false
+    }
+}
+
+impl CheckpointSchedule for AdaptiveCheckpointer {
+    #[inline]
+    fn next_checkpoint(&self) -> Option<f64> {
+        match self.decision() {
+            CheckpointDecision::RunUntil { at_progress } => Some(at_progress),
+            CheckpointDecision::RunToCompletion => None,
         }
     }
 
-    fn next_after_durable(&self) -> Option<f64> {
-        (self.next_idx < self.count).then(|| self.position(self.next_idx))
+    #[inline]
+    fn on_checkpoint_complete(&mut self, pos: f64) {
+        AdaptiveCheckpointer::on_checkpoint_complete(self, pos)
+    }
+
+    #[inline]
+    fn on_rollback(&mut self, pos: f64) {
+        AdaptiveCheckpointer::on_rollback(self, pos)
+    }
+
+    /// Adaptive controllers re-solve (Algorithm 1).
+    #[inline]
+    fn on_mnof_change(&mut self, mnof_full: f64) -> bool {
+        self.update_mnof(mnof_full)
     }
 }
 
@@ -91,33 +204,24 @@ impl Controller {
     /// the durable progress; `None` ⇒ run to completion.
     pub fn next_checkpoint(&self) -> Option<f64> {
         match self {
-            Controller::Fixed(f) => f.next_after_durable(),
-            Controller::Adaptive(a) => match a.decision() {
-                CheckpointDecision::RunUntil { at_progress } => Some(at_progress),
-                CheckpointDecision::RunToCompletion => None,
-            },
+            Controller::Fixed(f) => f.next_checkpoint(),
+            Controller::Adaptive(a) => CheckpointSchedule::next_checkpoint(a),
         }
     }
 
     /// A checkpoint completed: durable progress is now `pos`.
     pub fn on_checkpoint_complete(&mut self, pos: f64) {
         match self {
-            Controller::Fixed(f) => {
-                f.durable = pos;
-                f.seek(pos);
-            }
-            Controller::Adaptive(a) => a.on_checkpoint_complete(pos),
+            Controller::Fixed(f) => CheckpointSchedule::on_checkpoint_complete(f, pos),
+            Controller::Adaptive(a) => CheckpointSchedule::on_checkpoint_complete(a, pos),
         }
     }
 
     /// A failure rolled the task back to durable progress `pos`.
     pub fn on_rollback(&mut self, pos: f64) {
         match self {
-            Controller::Fixed(f) => {
-                f.durable = pos;
-                f.seek(pos);
-            }
-            Controller::Adaptive(a) => a.on_rollback(pos),
+            Controller::Fixed(f) => CheckpointSchedule::on_rollback(f, pos),
+            Controller::Adaptive(a) => CheckpointSchedule::on_rollback(a, pos),
         }
     }
 
@@ -127,8 +231,8 @@ impl Controller {
     /// happened.
     pub fn on_mnof_change(&mut self, mnof_full: f64) -> bool {
         match self {
-            Controller::Fixed(_) => false,
-            Controller::Adaptive(a) => a.update_mnof(mnof_full),
+            Controller::Fixed(f) => f.on_mnof_change(mnof_full),
+            Controller::Adaptive(a) => CheckpointSchedule::on_mnof_change(a, mnof_full),
         }
     }
 
@@ -209,5 +313,105 @@ mod tests {
         assert_eq!(c.planned_remaining(), Some(3));
         c.on_checkpoint_complete(25.0);
         assert_eq!(c.planned_remaining(), Some(2));
+    }
+
+    /// The historical definition of the cursor: the number of materialized
+    /// positions `≤ p`.
+    fn reference_idx(positions: &[f64], p: f64) -> u32 {
+        positions.partition_point(|&q| q <= p) as u32
+    }
+
+    fn schedule(te: f64, x: u32) -> (FixedSchedule, Vec<f64>) {
+        let eq = EquidistantSchedule::new(te, x).unwrap();
+        (FixedSchedule::new(&eq), eq.positions())
+    }
+
+    /// Probe points around every position: each position itself, its
+    /// float neighbours, the midpoints between positions, and the ends.
+    fn probes(positions: &[f64]) -> Vec<f64> {
+        let mut out = vec![-1.0, 0.0, f64::INFINITY];
+        let mut prev = 0.0;
+        for &q in positions {
+            out.extend([
+                q,
+                f64::from_bits(q.to_bits() - 1),
+                f64::from_bits(q.to_bits() + 1),
+                0.5 * (prev + q),
+            ]);
+            prev = q;
+        }
+        out.push(prev + 1.0);
+        out.push(prev * 4.0 + 1e6);
+        out
+    }
+
+    /// Both cursor paths — the O(1) hot step and the cold exact search —
+    /// agree with `partition_point` from every start state for every
+    /// probe: forward by one and by many, backward, between positions,
+    /// past the last position, and with no positions at all.
+    #[test]
+    fn seek_matches_partition_point_from_any_cursor() {
+        let cases = [
+            (100.0, 1),
+            (100.0, 2),
+            (100.0, 4),
+            (441.0, 21),
+            (1.0, 3),
+            (7.3, 7),
+            (3_600.0, 97),
+            (600.0, 400),
+        ];
+        for (te, x) in cases {
+            let (base, positions) = schedule(te, x);
+            let probes = probes(&positions);
+            for start in 0..=base.count {
+                for &p in &probes {
+                    let want = reference_idx(&positions, p);
+                    let mut hot = FixedSchedule::at(base.w, base.count, start);
+                    hot.seek(p);
+                    assert_eq!(hot.next_idx, want, "seek te={te} x={x} from {start} to {p}");
+                    assert_eq!(hot.next_checkpoint(), positions.get(want as usize).copied());
+                    let cold = count_at_or_before(base.w, base.count, p);
+                    assert_eq!(cold, want, "exact search te={te} x={x} to {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seek_handles_empty_and_nan() {
+        let mut none = FixedSchedule::none();
+        for p in [-1.0, 0.0, 1.0, f64::INFINITY, f64::NAN] {
+            none.seek(p);
+            assert_eq!(none.next_idx, 0);
+            assert_eq!(none.next_checkpoint(), None);
+        }
+        // NaN compares false with every position: partition point 0.
+        let (mut s, _) = schedule(100.0, 4);
+        s.next_idx = 2;
+        s.seek(f64::NAN);
+        assert_eq!(s.next_idx, 0);
+    }
+
+    /// The executor's own walk: checkpoints complete one by one, rollbacks
+    /// land on the last durable position, and a rollback to 0 after a run
+    /// of checkpoints (a backward move of many) resets the cursor.
+    #[test]
+    fn seek_follows_executor_walk() {
+        let (mut s, positions) = schedule(3_000.0, 60);
+        for (i, &q) in positions.iter().enumerate() {
+            assert_eq!(s.next_checkpoint(), Some(q));
+            s.on_rollback(if i == 0 { 0.0 } else { positions[i - 1] });
+            assert_eq!(s.next_checkpoint(), Some(q));
+            s.on_checkpoint_complete(q);
+        }
+        assert_eq!(s.next_checkpoint(), None);
+        s.on_rollback(0.0);
+        assert_eq!(s.next_checkpoint(), Some(positions[0]));
+        // Forward jump over many positions, then past the end.
+        s.on_checkpoint_complete(positions[40]);
+        assert_eq!(s.next_checkpoint(), Some(positions[41]));
+        s.on_checkpoint_complete(3_000.0);
+        assert_eq!(s.next_checkpoint(), None);
     }
 }

@@ -25,11 +25,24 @@
 //! failures can interleave between tasks; the two paths share
 //! [`TaskOutcome`] and are validated against each other by the
 //! `cluster_validation` experiment.
+//!
+//! Replay cost is per checkpoint (Formula (3) places them densely), so the
+//! loop is written once and monomorphised per schedule type: it is generic
+//! over [`CheckpointSchedule`], and [`simulate_task_queued`] matches the
+//! [`Controller`] enum once per task rather than on every callback. The
+//! accumulators, the front kill position and a copy of the schedule live
+//! in locals. A pending priority flip is a *horizon*: milestones are
+//! capped at `min(te, flip position)`, and the flip and completion checks
+//! run only once progress reaches it. The float adds are those of the
+//! straightforward loop that re-reads the controller and the flip at every
+//! milestone, in the same order, so outcomes are bit-identical to it;
+//! `tests/proptest_sim.rs` keeps that loop as a reference oracle.
 
-use crate::controller::Controller;
+use crate::controller::{CheckpointSchedule, Controller};
 use ckpt_stats::rng::Rng64;
 use ckpt_trace::failure::{sample_task_plan_into, FailureModelSpec};
 use ckpt_trace::spec::{FailureModel, FailurePlan};
+use std::hint;
 
 /// A planned mid-execution priority flip, as the executor sees it.
 #[derive(Debug, Clone, Copy)]
@@ -184,6 +197,9 @@ pub fn simulate_task_with_plan<R: Rng64 + ?Sized>(
 /// the allocation-free core behind [`simulate_task_with_plan`]. The queue
 /// arrives holding the task's kill plan and leaves in an unspecified
 /// state (its buffer stays warm for the caller's next task).
+///
+/// The controller is matched once here; the loop itself is generic over
+/// [`CheckpointSchedule`] and monomorphised per schedule type.
 pub fn simulate_task_queued<R: Rng64 + ?Sized>(
     spec: &TaskSimSpec,
     pending: &mut KillQueue,
@@ -196,113 +212,183 @@ pub fn simulate_task_queued<R: Rng64 + ?Sized>(
         spec.ckpt_cost >= 0.0 && spec.restart_cost >= 0.0,
         "costs must be non-negative"
     );
+    match ctl {
+        Controller::Fixed(f) => replay_task(spec, pending, flip, f, rng),
+        Controller::Adaptive(a) => replay_task(spec, pending, flip, a, rng),
+    }
+}
 
-    let mut out = TaskOutcome {
-        productive: spec.te,
-        ..TaskOutcome::default()
-    };
-    let mut flip = flip;
+/// Where a pending flip bounds the loop: `(limit, check)`.
+///
+/// `limit` caps the next milestone: the flip position if it lies in
+/// `(0, te)`, else `te`. A pending flip in `(0, te)` is always ahead of
+/// progress, because progress only reaches a milestone below it and
+/// rollbacks return to such a milestone, so `limit` needs no per-iteration
+/// filter. `check` is the progress from which the flip or completion can
+/// fire (`live >= at_progress` or `live >= te`), so the loop tests for
+/// either only once a milestone reaches it. A flip at or before 0 fires at
+/// the first milestone reached; one at `te` fires on completion; one past
+/// `te` (or NaN) never fires.
+#[inline]
+fn flip_horizon(flip: Option<ExecFlip>, te: f64) -> (f64, f64) {
+    match flip {
+        Some(f) => {
+            let at = f.at_progress;
+            let limit = if at > 0.0 && at < te { at } else { te };
+            (limit, te.min(at))
+        }
+        None => (te, te),
+    }
+}
+
+/// The one task loop: advance from milestone to milestone (the next
+/// checkpoint, the flip horizon, or completion) and from kill to kill.
+///
+/// Every accumulator, the front kill position and a copy of the schedule
+/// live in locals; the schedule is written back once on return. The float
+/// adds are the same adds in the same order as the reference loop in
+/// `tests/proptest_sim.rs`, so outcomes are bit-identical to it. The rare
+/// branches are marked cold so the checkpoint path keeps its state in
+/// registers.
+#[inline]
+fn replay_task<S, R>(
+    spec: &TaskSimSpec,
+    pending: &mut KillQueue,
+    mut flip: Option<ExecFlip>,
+    sched: &mut S,
+    rng: &mut R,
+) -> TaskOutcome
+where
+    S: CheckpointSchedule + Clone,
+    R: Rng64 + ?Sized,
+{
+    let TaskSimSpec {
+        te,
+        ckpt_cost,
+        restart_cost,
+    } = *spec;
+    let mut s = sched.clone();
+    let mut wall = 0.0f64;
+    let mut failures = 0u32;
+    let mut checkpoints = 0u32;
+    let mut aborted_checkpoints = 0u32;
+    let mut rollback_loss = 0.0f64;
+    let mut checkpoint_time = 0.0f64;
+    let mut restart_time = 0.0f64;
+    let mut flipped = false;
     let mut busy = 0.0f64; // cumulative execution (run + checkpoint) time
     let mut durable = 0.0f64; // checkpointed progress
     let mut live = 0.0f64; // progress since start (≥ durable, volatile)
-
-    // Closure-free helper: busy time until the next kill.
-    macro_rules! to_fail {
-        () => {
-            pending.front().map(|f| f - busy).unwrap_or(f64::INFINITY)
-        };
-    }
+    let mut next_kill = pending.front().unwrap_or(f64::INFINITY);
+    let (mut limit, mut check) = flip_horizon(flip, te);
 
     loop {
-        // Next milestone in productive progress.
-        let next_ckpt = ctl.next_checkpoint().filter(|&p| p > live && p < spec.te);
-        let flip_at = flip
-            .map(|f| f.at_progress)
-            .filter(|&p| p > live && p < spec.te);
-        let mut target = spec.te;
-        if let Some(p) = next_ckpt {
-            target = target.min(p);
-        }
-        if let Some(p) = flip_at {
-            target = target.min(p);
-        }
-
+        // Next milestone in productive progress: the minimum of `te`, the
+        // flip and a checkpoint ahead of `live`. `limit ≤ te`, so a
+        // checkpoint at or past `te` yields `limit`; `p > live` rules out
+        // NaN, so the plain comparison is the exact minimum.
+        let target = match s.next_checkpoint() {
+            Some(p) if p > live && p < limit => p,
+            _ => {
+                hint::cold_path();
+                limit
+            }
+        };
         let run_needed = target - live;
-        let tf = to_fail!();
+        let tf = next_kill - busy;
         if tf < run_needed {
             // Kill strikes mid-run.
+            hint::cold_path();
             pending.pop_front();
-            out.wall += tf + spec.restart_cost;
-            out.restart_time += spec.restart_cost;
+            next_kill = pending.front().unwrap_or(f64::INFINITY);
+            wall += tf + restart_cost;
+            restart_time += restart_cost;
             busy += tf;
             live += tf;
-            out.failures += 1;
-            out.rollback_loss += live - durable;
+            failures += 1;
+            rollback_loss += live - durable;
             live = durable;
-            ctl.on_rollback(durable);
+            s.on_rollback(durable);
             continue;
         }
 
         // Reach the milestone.
-        out.wall += run_needed;
+        wall += run_needed;
         busy += run_needed;
         live = target;
 
-        if let Some(f) = flip {
-            if live >= f.at_progress {
-                // Priority flip: the remaining kill plan is re-drawn for
-                // the new priority over the remaining work, under the same
-                // failure model as the rest of the trace. (Default model:
-                // sample_count + sample_positions in the legacy order —
-                // identical draws to the historical re-plan.)
-                pending.clear();
-                let remaining = spec.te - live;
-                if remaining > 0.0 {
-                    sample_task_plan_into(
-                        f.model,
-                        f.new_priority,
-                        remaining,
-                        rng,
-                        &mut pending.buf,
-                    );
-                    for p in &mut pending.buf {
-                        *p += busy;
+        if live >= check {
+            hint::cold_path();
+            if let Some(f) = flip {
+                if live >= f.at_progress {
+                    // Priority flip: the remaining kill plan is re-drawn for
+                    // the new priority over the remaining work, under the
+                    // same failure model as the rest of the trace. (Default
+                    // model: sample_count + sample_positions in the legacy
+                    // order — identical draws to the historical re-plan.)
+                    pending.clear();
+                    let remaining = te - live;
+                    if remaining > 0.0 {
+                        sample_task_plan_into(
+                            f.model,
+                            f.new_priority,
+                            remaining,
+                            rng,
+                            &mut pending.buf,
+                        );
+                        for p in &mut pending.buf {
+                            *p += busy;
+                        }
                     }
+                    next_kill = pending.front().unwrap_or(f64::INFINITY);
+                    if let Some(mnof) = f.new_mnof_full {
+                        s.on_mnof_change(mnof);
+                    }
+                    flipped = true;
+                    flip = None;
+                    (limit, check) = (te, te);
+                    continue;
                 }
-                if let Some(mnof) = f.new_mnof_full {
-                    ctl.on_mnof_change(mnof);
-                }
-                out.flipped = true;
-                flip = None;
-                continue;
             }
-        }
-
-        if live >= spec.te {
-            return out; // completed
+            if live >= te {
+                *sched = s;
+                return TaskOutcome {
+                    wall,
+                    productive: te,
+                    failures,
+                    checkpoints,
+                    aborted_checkpoints,
+                    rollback_loss,
+                    checkpoint_time,
+                    restart_time,
+                    flipped,
+                };
+            }
         }
 
         // The milestone is a checkpoint. The write takes `ckpt_cost` of busy
         // time; a kill inside it aborts the write.
-        let tf = to_fail!();
-        if tf < spec.ckpt_cost {
+        let tf = next_kill - busy;
+        if tf < ckpt_cost {
+            hint::cold_path();
             pending.pop_front();
-            out.wall += tf + spec.restart_cost;
-            out.restart_time += spec.restart_cost;
-            out.checkpoint_time += tf; // partial write
+            next_kill = pending.front().unwrap_or(f64::INFINITY);
+            wall += tf + restart_cost;
+            restart_time += restart_cost;
+            checkpoint_time += tf; // partial write
             busy += tf;
-            out.failures += 1;
-            out.aborted_checkpoints += 1;
-            out.rollback_loss += live - durable;
+            failures += 1;
+            aborted_checkpoints += 1;
+            rollback_loss += live - durable;
             live = durable;
-            ctl.on_rollback(durable);
+            s.on_rollback(durable);
         } else {
-            out.wall += spec.ckpt_cost;
-            out.checkpoint_time += spec.ckpt_cost;
-            busy += spec.ckpt_cost;
+            wall += ckpt_cost;
+            checkpoint_time += ckpt_cost;
+            busy += ckpt_cost;
             durable = live;
-            out.checkpoints += 1;
-            ctl.on_checkpoint_complete(durable);
+            checkpoints += 1;
+            s.on_checkpoint_complete(durable);
         }
     }
 }

@@ -1,11 +1,17 @@
 //! Property-based tests of the execution model: the wall-clock accounting
 //! identity, WPR bounds, kill-plan replay exactness, and the benefit of
-//! checkpointing under heavy failure plans — over randomized tasks.
+//! checkpointing under heavy failure plans — over randomized tasks. The
+//! last property checks the production task loop bit for bit against a
+//! straightforward reference loop (`reference_simulate`).
 
+use cloud_ckpt::policy::adaptive::AdaptiveCheckpointer;
 use cloud_ckpt::policy::schedule::EquidistantSchedule;
 use cloud_ckpt::sim::controller::{Controller, FixedSchedule};
-use cloud_ckpt::sim::task_sim::{simulate_task_with_plan, TaskSimSpec};
-use cloud_ckpt::stats::rng::Xoshiro256StarStar;
+use cloud_ckpt::sim::task_sim::{
+    simulate_task_queued, simulate_task_with_plan, ExecFlip, KillQueue, TaskOutcome, TaskSimSpec,
+};
+use cloud_ckpt::stats::rng::{Rng64, Xoshiro256StarStar};
+use cloud_ckpt::trace::failure::{sample_task_plan_into, FailureModelSpec};
 use cloud_ckpt::trace::spec::FailurePlan;
 use proptest::prelude::*;
 
@@ -148,5 +154,283 @@ proptest! {
             simulate_task_with_plan(&spec, plan, None, &mut ctl, &mut rng)
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+/// Reference oracle: the fast-path task loop in its straightforward form,
+/// written with public API only (the kill queue is a `Vec` plus a head
+/// cursor). It re-queries the controller enum on every milestone and
+/// re-filters the flip position on every iteration: slow, but plainly the
+/// model that the production loop must reproduce bit for bit.
+fn reference_simulate<R: Rng64 + ?Sized>(
+    spec: &TaskSimSpec,
+    kills: Vec<f64>,
+    flip: Option<ExecFlip>,
+    ctl: &mut Controller,
+    rng: &mut R,
+) -> TaskOutcome {
+    let mut buf = kills;
+    let mut head = 0usize;
+    let mut out = TaskOutcome {
+        productive: spec.te,
+        ..TaskOutcome::default()
+    };
+    let mut flip = flip;
+    let mut busy = 0.0f64; // cumulative execution (run + checkpoint) time
+    let mut durable = 0.0f64; // checkpointed progress
+    let mut live = 0.0f64; // progress since start (≥ durable, volatile)
+
+    // Closure-free helper: busy time until the next kill.
+    macro_rules! to_fail {
+        () => {
+            buf.get(head)
+                .copied()
+                .map(|f| f - busy)
+                .unwrap_or(f64::INFINITY)
+        };
+    }
+
+    loop {
+        // Next milestone in productive progress.
+        let next_ckpt = ctl.next_checkpoint().filter(|&p| p > live && p < spec.te);
+        let flip_at = flip
+            .map(|f| f.at_progress)
+            .filter(|&p| p > live && p < spec.te);
+        let mut target = spec.te;
+        if let Some(p) = next_ckpt {
+            target = target.min(p);
+        }
+        if let Some(p) = flip_at {
+            target = target.min(p);
+        }
+
+        let run_needed = target - live;
+        let tf = to_fail!();
+        if tf < run_needed {
+            // Kill strikes mid-run.
+            head += 1;
+            out.wall += tf + spec.restart_cost;
+            out.restart_time += spec.restart_cost;
+            busy += tf;
+            live += tf;
+            out.failures += 1;
+            out.rollback_loss += live - durable;
+            live = durable;
+            ctl.on_rollback(durable);
+            continue;
+        }
+
+        // Reach the milestone.
+        out.wall += run_needed;
+        busy += run_needed;
+        live = target;
+
+        if let Some(f) = flip {
+            if live >= f.at_progress {
+                // Priority flip: re-draw the remaining kill plan.
+                buf.clear();
+                head = 0;
+                let remaining = spec.te - live;
+                if remaining > 0.0 {
+                    sample_task_plan_into(f.model, f.new_priority, remaining, rng, &mut buf);
+                    for p in &mut buf {
+                        *p += busy;
+                    }
+                }
+                if let Some(mnof) = f.new_mnof_full {
+                    ctl.on_mnof_change(mnof);
+                }
+                out.flipped = true;
+                flip = None;
+                continue;
+            }
+        }
+
+        if live >= spec.te {
+            return out; // completed
+        }
+
+        // The milestone is a checkpoint. The write takes `ckpt_cost` of busy
+        // time; a kill inside it aborts the write.
+        let tf = to_fail!();
+        if tf < spec.ckpt_cost {
+            head += 1;
+            out.wall += tf + spec.restart_cost;
+            out.restart_time += spec.restart_cost;
+            out.checkpoint_time += tf; // partial write
+            busy += tf;
+            out.failures += 1;
+            out.aborted_checkpoints += 1;
+            out.rollback_loss += live - durable;
+            live = durable;
+            ctl.on_rollback(durable);
+        } else {
+            out.wall += spec.ckpt_cost;
+            out.checkpoint_time += spec.ckpt_cost;
+            busy += spec.ckpt_cost;
+            durable = live;
+            out.checkpoints += 1;
+            ctl.on_checkpoint_complete(durable);
+        }
+    }
+}
+
+/// Every field of an outcome as bits, so equality is bit-exact.
+fn outcome_bits(o: &TaskOutcome) -> [u64; 9] {
+    [
+        o.wall.to_bits(),
+        o.productive.to_bits(),
+        o.failures as u64,
+        o.checkpoints as u64,
+        o.aborted_checkpoints as u64,
+        o.rollback_loss.to_bits(),
+        o.checkpoint_time.to_bits(),
+        o.restart_time.to_bits(),
+        o.flipped as u64,
+    ]
+}
+
+/// One of the five failure models, with jittered parameters.
+fn failure_model(kind: u32, rng: &mut Xoshiro256StarStar) -> FailureModelSpec {
+    let scale = 0.5 + 1.5 * rng.next_f64();
+    match kind {
+        0 => FailureModelSpec::Exponential,
+        1 => FailureModelSpec::Weibull {
+            shape: 0.5 + rng.next_f64(),
+            scale,
+        },
+        2 => FailureModelSpec::LogNormal {
+            sigma: 0.3 + 1.5 * rng.next_f64(),
+            scale,
+        },
+        3 => FailureModelSpec::Pareto {
+            shape: 1.2 + 2.0 * rng.next_f64(),
+            scale,
+        },
+        _ => FailureModelSpec::TraceReplay { scale },
+    }
+}
+
+/// The first `n` checkpoint positions the controller would write on a
+/// failure-free run (exact bits, whatever the controller type).
+fn checkpoint_positions(ctl: &Controller, n: usize) -> Vec<f64> {
+    let mut c = ctl.clone();
+    let mut out = Vec::new();
+    while out.len() < n {
+        match c.next_checkpoint() {
+            Some(p) => {
+                out.push(p);
+                c.on_checkpoint_complete(p);
+            }
+            None => break,
+        }
+    }
+    out
+}
+
+const PRIORITIES: [u8; 5] = [1, 2, 6, 10, 12];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// The production loop equals the reference oracle bit for bit, on
+    /// every outcome field, the controller's final cursor and the RNG's
+    /// final state: Fixed (including `none`), Adaptive and static adaptive
+    /// controllers; all five failure models; flips at 0, exactly at a
+    /// checkpoint position, inside a segment, at `te` and past `te`;
+    /// `ckpt_cost = 0`; and kills exactly at checkpoint boundaries and
+    /// back to back (on an integer grid, where busy time is exact).
+    #[test]
+    fn fast_loop_matches_reference_oracle(
+        seed in 0u64..1_000_000_000,
+        grid in 0u32..2,
+        ctl_kind in 0u32..4,
+        x in 1u32..400,
+        zero_cost in 0u32..4,
+        model_kind in 0u32..5,
+        priority_idx in 0usize..5,
+        kill_kind in 0u32..3,
+        flip_kind in 0u32..7,
+    ) {
+        let mut g = Xoshiro256StarStar::new(seed);
+        // Integer grid: te = x·w and integral costs, so every busy-time sum
+        // below is exact and kills can sit exactly on boundaries.
+        let (te, w, c, r) = if grid == 1 {
+            let w = (1 + g.next_u64() % 40) as f64;
+            let c = if zero_cost == 0 { 0.0 } else { (g.next_u64() % 4) as f64 };
+            (x as f64 * w, w, c, (g.next_u64() % 3) as f64)
+        } else {
+            let te = 1.0 + 4_000.0 * g.next_f64();
+            let c = if zero_cost == 0 { 0.0 } else { 5.0 * g.next_f64() };
+            (te, te / x as f64, c, 3.0 * g.next_f64())
+        };
+        let spec = TaskSimSpec { te, ckpt_cost: c, restart_cost: r };
+        let mnof = 20.0 * g.next_f64();
+        let ctl_cost = if c > 0.0 { c } else { 0.5 };
+        let ctl = match ctl_kind {
+            0 => Controller::Fixed(FixedSchedule::none()),
+            1 => Controller::Fixed(FixedSchedule::new(&EquidistantSchedule::new(te, x).unwrap())),
+            2 => Controller::Adaptive(AdaptiveCheckpointer::new(te, ctl_cost, mnof).unwrap()),
+            _ => Controller::Adaptive(AdaptiveCheckpointer::new_static(te, ctl_cost, mnof).unwrap()),
+        };
+        let model = failure_model(model_kind, &mut g);
+        let priority = PRIORITIES[priority_idx];
+
+        let mut kills = Vec::new();
+        if kill_kind != 1 {
+            let mut rng = Xoshiro256StarStar::new(seed ^ 0x9e37_79b9);
+            sample_task_plan_into(model, priority, te, &mut rng, &mut kills);
+        }
+        if kill_kind != 0 {
+            // Boundaries of a failure-free pass: write start k·w + (k−1)·C
+            // and write end k·(w + C), some of them doubled (back to back).
+            for _ in 0..(1 + g.next_u64() % 8) {
+                let k = (1 + g.next_u64() % x as u64) as f64;
+                let at = if g.next_u64().is_multiple_of(2) { k * w + (k - 1.0) * c } else { k * (w + c) };
+                kills.push(at);
+                if g.next_u64().is_multiple_of(3) {
+                    kills.push(at);
+                }
+            }
+            kills.sort_by(f64::total_cmp);
+        }
+
+        let positions = checkpoint_positions(&ctl, 1 + (g.next_u64() % 8) as usize);
+        let at_progress = match flip_kind {
+            1 => Some(0.0),
+            2 => Some(*positions.last().unwrap_or(&(te / 2.0))),
+            3 => Some(te * g.next_f64()),
+            4 => Some(te),
+            5 => Some(te * 1.25 + 1.0),
+            6 => Some(-1.0),
+            _ => None,
+        };
+        let flip = at_progress.map(|at| ExecFlip {
+            at_progress: at,
+            new_priority: PRIORITIES[(g.next_u64() % 5) as usize],
+            model,
+            new_mnof_full: (!g.next_u64().is_multiple_of(4)).then(|| 20.0 * g.next_f64()),
+        });
+
+        let mut ctl_ref = ctl.clone();
+        let mut rng_ref = Xoshiro256StarStar::new(seed.wrapping_add(17));
+        let want = reference_simulate(&spec, kills.clone(), flip, &mut ctl_ref, &mut rng_ref);
+
+        let mut ctl_new = ctl;
+        let mut rng_new = Xoshiro256StarStar::new(seed.wrapping_add(17));
+        let mut queue = KillQueue::from_vec(kills);
+        let got = simulate_task_queued(&spec, &mut queue, flip, &mut ctl_new, &mut rng_new);
+
+        prop_assert!(
+            outcome_bits(&got) == outcome_bits(&want),
+            "got {:?}\nwant {:?}",
+            got,
+            want
+        );
+        prop_assert_eq!(
+            ctl_new.next_checkpoint().map(f64::to_bits),
+            ctl_ref.next_checkpoint().map(f64::to_bits)
+        );
+        prop_assert_eq!(rng_new.next_u64(), rng_ref.next_u64());
     }
 }
