@@ -49,6 +49,13 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
+/// The most values one range axis may expand to. Ranges are expanded into
+/// a `Vec` at parse time, so an unbounded `steps` is an unbounded
+/// allocation (`steps = 1e10` asks for 80 GB, `steps = 1e21` overflows the
+/// capacity and panics); a million points per axis is far beyond any grid
+/// the executor can run.
+pub const MAX_RANGE_STEPS: usize = 1_000_000;
+
 fn expand_range(table: &std::collections::BTreeMap<String, Value>) -> Result<Vec<Value>, String> {
     let get = |k: &str| -> Result<f64, String> {
         table
@@ -62,6 +69,11 @@ fn expand_range(table: &std::collections::BTreeMap<String, Value>) -> Result<Vec
     if steps_raw < 0.0 || steps_raw.fract() != 0.0 {
         return Err(format!(
             "steps must be a non-negative integer, got {steps_raw}"
+        ));
+    }
+    if steps_raw > MAX_RANGE_STEPS as f64 {
+        return Err(format!(
+            "steps = {steps_raw} exceeds MAX_RANGE_STEPS = {MAX_RANGE_STEPS}"
         ));
     }
     let steps = steps_raw as usize;
@@ -114,6 +126,14 @@ fn snap(v: f64) -> f64 {
     let mag = v.abs().log10().floor();
     let scale = 10f64.powf(11.0 - mag);
     (v * scale).round() / scale
+}
+
+/// The product of the axis lengths, or `None` on overflow. A sweep with no
+/// axes is a single-cell "sweep" of the base.
+fn checked_grid_size(axes: &[Axis]) -> Option<usize> {
+    axes.iter()
+        .try_fold(1usize, |n, a| n.checked_mul(a.values.len()))
+        .map(|n| n.max(1))
 }
 
 impl SweepSpec {
@@ -256,6 +276,13 @@ impl SweepSpec {
             }
         }
 
+        if checked_grid_size(&axes).is_none() {
+            let lens: Vec<usize> = axes.iter().map(|a| a.values.len()).collect();
+            return Err(SweepError(format!(
+                "grid size overflows: the product of the axis lengths {lens:?} exceeds {}",
+                usize::MAX
+            )));
+        }
         Ok(SweepSpec {
             name,
             base,
@@ -265,15 +292,13 @@ impl SweepSpec {
     }
 
     /// Total number of grid cells: the product of the axis lengths.
+    ///
+    /// # Panics
+    ///
+    /// If that product overflows `usize`, which [`SweepSpec::from_str`]
+    /// rejects, so only a hand-built spec can reach it.
     pub fn grid_size(&self) -> usize {
-        self.axes
-            .iter()
-            .map(|a| a.values.len())
-            .product::<usize>()
-            .max(
-                // A sweep with no axes is a single-cell "sweep" of the base.
-                1,
-            )
+        checked_grid_size(&self.axes).expect("sweep grid size overflows usize")
     }
 
     /// The axis assignments of cell `index` (row-major, last axis fastest),
@@ -445,6 +470,53 @@ mod tests {
         "#;
         let sweep = SweepSpec::from_str(ok).unwrap();
         assert_eq!(sweep.grid_size(), 1);
+    }
+
+    #[test]
+    fn range_steps_are_capped() {
+        for steps in ["999999999999999999996", "1e10", "1000001"] {
+            let spec =
+                format!("[axes]\nckpt_cost_scale = {{ from = 0.25, to = 8.0, steps = {steps} }}\n");
+            let e = SweepSpec::from_str(&spec).unwrap_err();
+            assert!(e.0.contains("MAX_RANGE_STEPS"), "{steps}: {e}");
+        }
+        let ok = "[axes]\nckpt_cost_scale = { from = 1, to = 4096, steps = 4096 }\n";
+        assert_eq!(SweepSpec::from_str(ok).unwrap().grid_size(), 4096);
+    }
+
+    /// Five axes of 2^13 values: 2^65 cells, past any 64-bit `usize`.
+    const OVERFLOWING_AXES: [&str; 5] = [
+        "ckpt_cost_scale",
+        "restart_cost_scale",
+        "ckpt_cost",
+        "restart_cost",
+        "mem_mb",
+    ];
+
+    #[test]
+    fn overflowing_grid_is_a_parse_error() {
+        let mut spec = String::from("[axes]\n");
+        for key in OVERFLOWING_AXES {
+            spec.push_str(&format!(
+                "{key} = {{ from = 1, to = 8192, steps = 8192 }}\n"
+            ));
+        }
+        let e = SweepSpec::from_str(&spec).unwrap_err();
+        assert!(e.0.contains("grid size overflows"), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "grid size overflows")]
+    fn grid_size_of_a_hand_built_overflowing_spec_panics() {
+        let mut sweep = SweepSpec::from_str(SPEC).unwrap();
+        sweep.axes = OVERFLOWING_AXES
+            .iter()
+            .map(|key| Axis {
+                param: key.to_string(),
+                values: vec![Value::Num(1.0); 8192],
+            })
+            .collect();
+        sweep.grid_size();
     }
 
     #[test]
