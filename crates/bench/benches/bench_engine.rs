@@ -1,10 +1,14 @@
 //! Criterion benches of the DES substrate: event-queue throughput,
 //! processor-sharing server churn, and single-task execution.
 //!
-//! The `task_sim/dense_*` cases time the fast-path task loop alone: kill
-//! plans are sampled once up front and replayed through a warm
-//! [`KillQueue`], so the sampler stays out of the measurement, and each
-//! case also prints the loop's cost per checkpoint written. Run with
+//! The `task_sim/dense_*` and `task_sim/killfree_*` cases time the
+//! fast-path task loop alone: kill plans are sampled once up front and
+//! replayed through a warm [`KillQueue`], so the sampler stays out of the
+//! measurement, and each case also prints the loop's cost per task, per
+//! kill and per checkpoint written. A fixed schedule's replay costs per
+//! task and kill (whole checkpoint cycles are jumped), so the kill-free
+//! cases at x = 400 and x = 10,000 should cost about the same per task;
+//! the adaptive controller still steps, one turn per checkpoint. Run with
 //! `cargo bench -p ckpt-bench --bench bench_engine`.
 
 use ckpt_policy::adaptive::AdaptiveCheckpointer;
@@ -112,30 +116,60 @@ fn bench_task_sim(c: &mut Criterion) {
     g.finish();
 }
 
+/// What one batch replay did, in the loop's cost units.
+#[derive(Debug, Default, Clone, Copy)]
+struct Batch {
+    tasks: u64,
+    kills: u64,
+    checkpoints: u64,
+}
+
+impl Batch {
+    fn add(&mut self, other: Batch) {
+        self.tasks += other.tasks;
+        self.kills += other.kills;
+        self.checkpoints += other.checkpoints;
+    }
+}
+
 /// Replay `plans` (pre-sampled kill positions) through one warm queue,
-/// each task starting from a copy of `template`; returns the checkpoints
-/// written.
+/// each task starting from a copy of `template`.
 fn replay_plans(
     spec: &TaskSimSpec,
     template: &Controller,
     plans: &[Vec<f64>],
     queue: &mut KillQueue,
     rng: &mut Xoshiro256StarStar,
-) -> u64 {
-    let mut checkpoints = 0u64;
+) -> Batch {
+    let mut batch = Batch::default();
     for kills in plans {
         queue.load(kills);
         let mut ctl = template.clone();
-        let out = simulate_task_queued(spec, queue, None, &mut ctl, rng);
-        checkpoints += u64::from(black_box(out).checkpoints);
+        let out = black_box(simulate_task_queued(spec, queue, None, &mut ctl, rng));
+        batch.add(Batch {
+            tasks: 1,
+            kills: u64::from(out.failures),
+            checkpoints: u64::from(out.checkpoints),
+        });
     }
-    checkpoints
+    batch
 }
 
-/// Checkpoint-dense tasks (x ≈ 400 on a one-hour task, ~12 kills each
-/// under the failure-heavy priority 10) for the Fixed and Adaptive
-/// controllers. Besides the shim's time per batch of 64 tasks, prints the
-/// median nanoseconds per checkpoint written over the measured samples.
+/// Median of `samples` nanoseconds per unit, or `-` if there were none.
+fn per_unit(samples: &mut [f64]) -> String {
+    samples.sort_by(f64::total_cmp);
+    match samples.get(samples.len() / 2) {
+        Some(ns) if ns.is_finite() => format!("{ns:.2}"),
+        _ => "-".into(),
+    }
+}
+
+/// One-hour tasks through the fast-path loop, 64 per batch: checkpoint
+/// dense (x ≈ 400, ~12 kills each under the failure-heavy priority 10)
+/// for the Fixed and Adaptive controllers, and kill-free under Fixed
+/// schedules of x = 400 and x = 10,000. Besides the shim's time per batch,
+/// prints the median nanoseconds per task, per kill and per checkpoint
+/// written over the measured samples.
 fn bench_task_loop(c: &mut Criterion) {
     let te = 3_600.0;
     let spec = TaskSimSpec {
@@ -145,41 +179,51 @@ fn bench_task_loop(c: &mut Criterion) {
     };
     let model = FailureModel::for_priority(10);
     let mut plan_rng = Xoshiro256StarStar::new(42);
-    let plans: Vec<Vec<f64>> = (0..64)
+    let heavy: Vec<Vec<f64>> = (0..64)
         .map(|_| model.sample_plan(te, &mut plan_rng).positions)
         .collect();
+    let kill_free = vec![Vec::new(); 64];
+    let fixed = |x: u32| {
+        Controller::Fixed(FixedSchedule::new(
+            &EquidistantSchedule::new(te, x).unwrap(),
+        ))
+    };
     // Formula (3) gives x = 400 intervals at MNOF = 2·C·x²/Te ≈ 8.9.
     let mnof = 2.0 * spec.ckpt_cost * 400.0f64.powi(2) / te;
     let cases = [
-        (
-            "dense_fixed_x400",
-            Controller::Fixed(FixedSchedule::new(
-                &EquidistantSchedule::new(te, 400).unwrap(),
-            )),
-        ),
+        ("dense_fixed_x400", fixed(400), &heavy),
         (
             "dense_adaptive_x400",
             Controller::Adaptive(AdaptiveCheckpointer::new(te, spec.ckpt_cost, mnof).unwrap()),
+            &heavy,
         ),
+        ("killfree_fixed_x400", fixed(400), &kill_free),
+        ("killfree_fixed_x10000", fixed(10_000), &kill_free),
     ];
     let mut g = c.benchmark_group("task_sim");
-    for (name, template) in cases {
+    for (name, template, plans) in cases {
         let mut queue = KillQueue::new();
         let mut rng = Xoshiro256StarStar::new(7);
-        let mut ns_per_checkpoint = Vec::new();
+        let (mut per_task, mut per_kill, mut per_checkpoint) = (Vec::new(), Vec::new(), Vec::new());
         g.bench_function(name, |b| {
-            let mut checkpoints = 0u64;
+            let mut done = Batch::default();
             let start = Instant::now();
-            b.iter(|| {
-                checkpoints += replay_plans(&spec, &template, &plans, &mut queue, &mut rng);
-            });
-            ns_per_checkpoint.push(start.elapsed().as_nanos() as f64 / checkpoints.max(1) as f64);
+            b.iter(|| done.add(replay_plans(&spec, &template, plans, &mut queue, &mut rng)));
+            let ns = start.elapsed().as_nanos() as f64;
+            per_task.push(ns / done.tasks as f64);
+            per_kill.push(ns / done.kills as f64);
+            per_checkpoint.push(ns / done.checkpoints as f64);
         });
-        ns_per_checkpoint.sort_by(f64::total_cmp);
+        let batch = replay_plans(&spec, &template, plans, &mut queue, &mut rng);
         println!(
-            "task_sim/{name:<39} ns/checkpoint: {:.2}  ({} checkpoints per batch)",
-            ns_per_checkpoint[ns_per_checkpoint.len() / 2],
-            replay_plans(&spec, &template, &plans, &mut queue, &mut rng),
+            "task_sim/{name:<39} ns/task: {}  ns/kill: {}  ns/checkpoint: {}  \
+             (per batch: {} tasks, {} kills, {} checkpoints)",
+            per_unit(&mut per_task),
+            per_unit(&mut per_kill),
+            per_unit(&mut per_checkpoint),
+            batch.tasks,
+            batch.kills,
+            batch.checkpoints,
         );
     }
     g.finish();

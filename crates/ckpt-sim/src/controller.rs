@@ -25,6 +25,27 @@ pub trait CheckpointSchedule {
     /// The task's full-task MNOF belief changed (priority flip). Returns
     /// whether the schedule was re-solved.
     fn on_mnof_change(&mut self, mnof_full: f64) -> bool;
+
+    /// Skip whole run+write cycles in one step. From progress `live`, with
+    /// `budget` busy seconds left before the next kill and a write cost of
+    /// `c`, returns `(k, last)`: the `k ≥ 1` checkpoints ahead that are
+    /// jumped, the last of them at position `last`, with the schedule moved
+    /// as `k` calls of [`Self::on_checkpoint_complete`] would move it.
+    /// Every jumped position lies in `(live, limit)`, and every jumped
+    /// cycle ends at least one full cycle before the kill, so the stepping
+    /// loop would have written each of them. `None` (the default, and the
+    /// answer of schedules that re-plan at checkpoints) leaves the schedule
+    /// untouched: the caller steps.
+    #[inline]
+    fn skip_cycles(
+        &mut self,
+        _live: f64,
+        _limit: f64,
+        _budget: f64,
+        _c: f64,
+    ) -> Option<(u32, f64)> {
+        None
+    }
 }
 
 /// A fixed equidistant schedule: positions `i·w` for `i = 1..=count`
@@ -36,8 +57,13 @@ pub trait CheckpointSchedule {
 /// the values are bit-identical to the historical Vec-backed schedule
 /// while construction is allocation-free. The next-checkpoint lookup is a
 /// plain read of the cursor, and moving the cursor is O(1) on every path
-/// the executors take (see `FixedSchedule::seek`): this sits in the
-/// innermost replay loop, once per checkpoint written.
+/// the executors take (see `FixedSchedule::seek`).
+///
+/// Because every position is known up front, the fast replay does not
+/// step through them one by one: [`CheckpointSchedule::skip_cycles`]
+/// jumps all whole `(w + C)` cycles before the next kill, flip or
+/// completion in O(1), so replaying a task under a fixed schedule costs
+/// per kill, flip and task rather than per checkpoint.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedSchedule {
     /// Segment length `Te/x`.
@@ -120,6 +146,33 @@ impl FixedSchedule {
         let exact = count_at_or_before(self.w, self.count, p);
         *self = Self::at(self.w, self.count, exact);
     }
+
+    /// The number of positions strictly below `limit`.
+    #[inline]
+    fn count_below(&self, limit: f64) -> u32 {
+        // Under the common `limit = te` every position is below it.
+        if self.count == 0 || self.position(self.count - 1) < limit {
+            return self.count;
+        }
+        count_below(self.w, self.count, limit)
+    }
+}
+
+/// The number of positions `(i+1)·w`, `i < count`, strictly below
+/// `limit`, by binary search (see [`count_at_or_before`]).
+#[cold]
+#[inline(never)]
+fn count_below(w: f64, count: u32, limit: f64) -> u32 {
+    let (mut lo, mut hi) = (0u32, count);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ((mid + 1) as f64 * w) < limit {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// The exact cursor for any `p`: how many of the positions `(i+1)·w`,
@@ -161,6 +214,35 @@ impl CheckpointSchedule for FixedSchedule {
     #[inline]
     fn on_mnof_change(&mut self, _mnof_full: f64) -> bool {
         false
+    }
+
+    /// Cycle `j ≥ 1` writes position `n + j − 1` (`n` = the cursor) and
+    /// ends at busy offset `(position − live) + j·c`; it is jumped if that
+    /// offset plus one more cycle `w + c` is within `budget`. The count
+    /// starts from the closed form `⌊(budget − (next − live) − c) / (w + c)⌋`,
+    /// is clamped to the positions below `limit`, and is then corrected by
+    /// the exact test above, so `k` is the largest count that passes it.
+    #[inline]
+    fn skip_cycles(&mut self, live: f64, limit: f64, budget: f64, c: f64) -> Option<(u32, f64)> {
+        let (w, count, n) = (self.w, self.count, self.next_idx);
+        let cycle = w + c;
+        let fits = |k: u32| ((n + k) as f64 * w - live) + k as f64 * c + cycle <= budget;
+        // The first cycle must be the stepping loop's next milestone and
+        // must fit; `next` is +∞ past the last position, and NaN fails.
+        if !(self.next > live && self.next < limit && fits(1)) {
+            return None;
+        }
+        let cap = self.count_below(limit) - n;
+        let guess = ((budget - (self.next - live) - c) / cycle).floor();
+        let mut k = (guess.min(cap as f64) as u32).max(1);
+        while k < cap && fits(k + 1) {
+            k += 1;
+        }
+        while k > 1 && !fits(k) {
+            k -= 1;
+        }
+        *self = Self::at(w, count, n + k);
+        Some((k, (n + k) as f64 * w))
     }
 }
 
@@ -413,5 +495,166 @@ mod tests {
         assert_eq!(s.next_checkpoint(), Some(positions[41]));
         s.on_checkpoint_complete(3_000.0);
         assert_eq!(s.next_checkpoint(), None);
+    }
+
+    /// Busy offset, from `live`, at which the `j`-th cycle ahead (writing
+    /// position `p`) ends: the expression `skip_cycles` tests.
+    fn cycle_end(p: f64, live: f64, j: u32, c: f64) -> f64 {
+        (p - live) + j as f64 * c
+    }
+
+    /// What the stepping loop would write from `s`: each next checkpoint in
+    /// turn, while it lies in `(live, limit)` and its cycle plus one more
+    /// fits in `budget`. Returns the positions and the schedule after them.
+    fn step_cycles(
+        mut s: FixedSchedule,
+        live: f64,
+        limit: f64,
+        budget: f64,
+        c: f64,
+    ) -> (Vec<f64>, FixedSchedule) {
+        let mut written = Vec::new();
+        while let Some(p) = s.next_checkpoint() {
+            let j = written.len() as u32 + 1;
+            if !(p > live && p < limit && cycle_end(p, live, j, c) + (s.w + c) <= budget) {
+                break;
+            }
+            written.push(p);
+            s.on_checkpoint_complete(p);
+        }
+        (written, s)
+    }
+
+    /// Random schedules, cursors, progress, costs, budgets and limits: the
+    /// jump writes exactly the cycles single steps write, ends on the same
+    /// position and leaves the same cursor; every jumped position lies in
+    /// `(live, limit)` and every jumped cycle ends a full cycle before the
+    /// budget runs out; and `None` leaves the schedule as it was.
+    #[test]
+    fn skip_cycles_matches_single_steps() {
+        use ckpt_stats::rng::{Rng64, Xoshiro256StarStar};
+        let mut g = Xoshiro256StarStar::new(2013);
+        let mut jumped = 0;
+        for _ in 0..20_000 {
+            let w = 10f64.powf(-2.0 + 5.0 * g.next_f64());
+            let count = match g.next_u64() % 4 {
+                0 => (g.next_u64() % 3) as u32,
+                1 => (g.next_u64() % 20_000) as u32,
+                _ => (g.next_u64() % 400) as u32,
+            };
+            // Up to `count`: the cursor past the last position.
+            let cursor = (g.next_u64() % (count as u64 + 1)) as u32;
+            let base = FixedSchedule::at(w, count, cursor);
+            // Progress: on the durable position before the cursor, or past
+            // it (a flip fired mid-segment).
+            let durable = if cursor == 0 {
+                0.0
+            } else {
+                base.position(cursor - 1)
+            };
+            let live = match g.next_u64() % 3 {
+                0 => durable + w * g.next_f64(),
+                _ => durable,
+            };
+            let c = match g.next_u64() % 4 {
+                0 => 0.0,
+                1 => w * (10.0 + 990.0 * g.next_f64()),
+                _ => 2.0 * w * g.next_f64(),
+            };
+            let te = (count as f64 + 1.0) * w;
+            let span = (count as f64 + 2.0) * (w + c);
+            let budget = match g.next_u64() % 8 {
+                0 => f64::INFINITY,
+                1 => f64::NAN,
+                2 => -span * g.next_f64(),
+                // A tie: exactly where cycle `j` plus one more ends, or a
+                // float step either side of it.
+                3 | 4 if cursor < count => {
+                    let j = 1 + (g.next_u64() % (count - cursor) as u64) as u32;
+                    let tie = cycle_end(base.position(cursor + j - 1), live, j, c) + (w + c);
+                    let bits = tie.to_bits();
+                    f64::from_bits([bits - 1, bits, bits + 1][(g.next_u64() % 3) as usize])
+                }
+                _ => span * g.next_f64(),
+            };
+            let limit = match g.next_u64() % 4 {
+                0 => te * g.next_f64(),
+                1 if count > 0 => base.position((g.next_u64() % count as u64) as u32),
+                _ => te,
+            };
+
+            let (written, stepped) = step_cycles(base, live, limit, budget, c);
+            let mut s = base;
+            match s.skip_cycles(live, limit, budget, c) {
+                Some((k, last)) => {
+                    jumped += 1;
+                    assert_eq!(k as usize, written.len(), "w={w} n={count} at {cursor}");
+                    assert_eq!(last.to_bits(), written[written.len() - 1].to_bits());
+                    assert_eq!(s.next_idx, stepped.next_idx);
+                    assert_eq!(s.next.to_bits(), stepped.next.to_bits());
+                    for (j, &p) in written.iter().enumerate() {
+                        assert!(p > live && p < limit);
+                        assert!(cycle_end(p, live, j as u32 + 1, c) + (w + c) <= budget);
+                    }
+                }
+                None => {
+                    assert!(written.is_empty(), "missed {} cycles", written.len());
+                    assert_eq!(s.next_idx, base.next_idx);
+                    assert_eq!(s.next.to_bits(), base.next.to_bits());
+                }
+            }
+        }
+        assert!(jumped > 5_000, "only {jumped} cases jumped");
+    }
+
+    #[test]
+    fn skip_cycles_declines_empty_spent_and_bad_budgets() {
+        let mut none = FixedSchedule::none();
+        assert_eq!(none.skip_cycles(0.0, 100.0, f64::INFINITY, 1.0), None);
+        let (s, positions) = schedule(100.0, 4);
+        let mut spent = FixedSchedule::at(s.w, s.count, s.count);
+        assert_eq!(spent.skip_cycles(75.0, 100.0, f64::INFINITY, 1.0), None);
+        for budget in [f64::NAN, -1.0, -0.0, 0.0, 25.0 + 1.0 + 25.0] {
+            let mut t = s;
+            assert_eq!(
+                t.skip_cycles(0.0, 100.0, budget, 1.0),
+                None,
+                "budget {budget}"
+            );
+            assert_eq!(t.next_checkpoint(), Some(positions[0]));
+        }
+        // Exactly one cycle plus the one after it fits.
+        let mut t = s;
+        assert_eq!(
+            t.skip_cycles(0.0, 100.0, 25.0 + 1.0 + 26.0, 1.0),
+            Some((1, 25.0))
+        );
+        assert_eq!(t.next_checkpoint(), Some(50.0));
+    }
+
+    #[test]
+    fn skip_cycles_with_infinite_budget_reaches_the_last_position_below_limit() {
+        let (s, positions) = schedule(441.0, 21);
+        let mut t = s;
+        assert_eq!(
+            t.skip_cycles(0.0, 441.0, f64::INFINITY, 1.0),
+            Some((20, positions[19]))
+        );
+        assert_eq!(t.next_checkpoint(), None);
+        // A limit on a position stops the jump just before it.
+        let mut t = s;
+        assert_eq!(
+            t.skip_cycles(0.0, positions[7], f64::INFINITY, 1.0),
+            Some((7, positions[6]))
+        );
+        assert_eq!(t.next_checkpoint(), Some(positions[7]));
+        // From mid-segment progress with the cursor part-way along.
+        let mut t = FixedSchedule::at(s.w, s.count, 5);
+        let live = positions[4] + 3.0;
+        assert_eq!(
+            t.skip_cycles(live, 300.0, f64::INFINITY, 0.0),
+            Some((9, positions[13]))
+        );
+        assert!(positions[13] < 300.0 && positions[14] >= 300.0);
     }
 }

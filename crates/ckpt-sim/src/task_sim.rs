@@ -26,17 +26,30 @@
 //! [`TaskOutcome`] and are validated against each other by the
 //! `cluster_validation` experiment.
 //!
-//! Replay cost is per checkpoint (Formula (3) places them densely), so the
-//! loop is written once and monomorphised per schedule type: it is generic
-//! over [`CheckpointSchedule`], and [`simulate_task_queued`] matches the
-//! [`Controller`] enum once per task rather than on every callback. The
-//! accumulators, the front kill position and a copy of the schedule live
-//! in locals. A pending priority flip is a *horizon*: milestones are
-//! capped at `min(te, flip position)`, and the flip and completion checks
-//! run only once progress reaches it. The float adds are those of the
-//! straightforward loop that re-reads the controller and the flip at every
-//! milestone, in the same order, so outcomes are bit-identical to it;
-//! `tests/proptest_sim.rs` keeps that loop as a reference oracle.
+//! The loop is written once and monomorphised per schedule type: it is
+//! generic over [`CheckpointSchedule`], and [`simulate_task_queued`]
+//! matches the [`Controller`] enum once per task rather than on every
+//! callback. The accumulators, the front kill position and a copy of the
+//! schedule live in locals. A pending priority flip is a *horizon*:
+//! milestones are capped at `min(te, flip position)`, and the flip and
+//! completion checks run only once progress reaches it.
+//!
+//! Formula (3) places checkpoints densely, so stepping from checkpoint to
+//! checkpoint would make replay cost per checkpoint. Instead each turn
+//! first asks the schedule to skip every whole run+write cycle that ends
+//! a full cycle before the next kill ([`CheckpointSchedule::skip_cycles`]),
+//! and the loop adds the skipped span once. A fixed schedule answers in
+//! O(1), so its replay costs per kill, flip and task; an adaptive one
+//! re-plans at checkpoints, answers nothing and still steps. The stepping
+//! code decides every kill, aborted write, flip and completion with the
+//! comparisons of the straightforward loop that re-reads the controller
+//! and the flip at every milestone, so integer outcomes, `flipped` and the
+//! final cursor equal that loop's. The jump's one add replaces `2k`, so
+//! `wall`, `checkpoint_time` and `rollback_loss` of a fixed schedule may
+//! round differently (closer to the exact sum); everything else, and every
+//! field of an adaptive run, is bit-identical. `tests/proptest_sim.rs`
+//! keeps that loop as a reference oracle and bounds the difference by
+//! recursive summation: `|Δ| ≤ 9·(checkpoints + failures + 2)·ε·wall`.
 
 use crate::controller::{CheckpointSchedule, Controller};
 use ckpt_stats::rng::Rng64;
@@ -241,15 +254,15 @@ fn flip_horizon(flip: Option<ExecFlip>, te: f64) -> (f64, f64) {
     }
 }
 
-/// The one task loop: advance from milestone to milestone (the next
-/// checkpoint, the flip horizon, or completion) and from kill to kill.
+/// The one task loop: jump whole checkpoint cycles where the schedule
+/// allows, then advance from milestone to milestone (the next checkpoint,
+/// the flip horizon, or completion) and from kill to kill.
 ///
 /// Every accumulator, the front kill position and a copy of the schedule
-/// live in locals; the schedule is written back once on return. The float
-/// adds are the same adds in the same order as the reference loop in
-/// `tests/proptest_sim.rs`, so outcomes are bit-identical to it. The rare
-/// branches are marked cold so the checkpoint path keeps its state in
-/// registers.
+/// live in locals; the schedule is written back once on return. Apart from
+/// the jump, the float adds are the same adds in the same order as the
+/// reference loop in `tests/proptest_sim.rs`. The rare branches are marked
+/// cold so the checkpoint path keeps its state in registers.
 #[inline]
 fn replay_task<S, R>(
     spec: &TaskSimSpec,
@@ -283,6 +296,22 @@ where
     let (mut limit, mut check) = flip_horizon(flip, te);
 
     loop {
+        // Jump every whole run+write cycle that ends a full cycle before the
+        // next kill (fixed schedules only; adaptive ones step). A flip at or
+        // before 0 fires at the first milestone, so it is not jumped over.
+        if check >= limit {
+            if let Some((k, last)) = s.skip_cycles(live, limit, next_kill - busy, ckpt_cost) {
+                let written = k as f64 * ckpt_cost;
+                let span = (last - live) + written;
+                wall += span;
+                busy += span;
+                checkpoint_time += written;
+                checkpoints += k;
+                live = last;
+                durable = last;
+            }
+        }
+
         // Next milestone in productive progress: the minimum of `te`, the
         // flip and a checkpoint ahead of `live`. `limit ≤ te`, so a
         // checkpoint at or past `te` yields `limit`; `p > live` rules out
