@@ -63,7 +63,9 @@ pub trait CheckpointSchedule {
 /// step through them one by one: [`CheckpointSchedule::skip_cycles`]
 /// jumps all whole `(w + C)` cycles before the next kill, flip or
 /// completion in O(1), so replaying a task under a fixed schedule costs
-/// per kill, flip and task rather than per checkpoint.
+/// per kill, flip and task rather than per checkpoint. The replay adds the
+/// jumped span once instead of twice per cycle, so its time sums may differ
+/// from stepping in the last bits (the bound is in [`crate::task_sim`]).
 #[derive(Debug, Clone, Copy)]
 pub struct FixedSchedule {
     /// Segment length `Te/x`.
@@ -154,25 +156,9 @@ impl FixedSchedule {
         if self.count == 0 || self.position(self.count - 1) < limit {
             return self.count;
         }
-        count_below(self.w, self.count, limit)
+        // `q < limit` ⇔ `q ≤ limit.next_down()` for every float `q`.
+        count_at_or_before(self.w, self.count, limit.next_down())
     }
-}
-
-/// The number of positions `(i+1)·w`, `i < count`, strictly below
-/// `limit`, by binary search (see [`count_at_or_before`]).
-#[cold]
-#[inline(never)]
-fn count_below(w: f64, count: u32, limit: f64) -> u32 {
-    let (mut lo, mut hi) = (0u32, count);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ((mid + 1) as f64 * w) < limit {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// The exact cursor for any `p`: how many of the positions `(i+1)·w`,
