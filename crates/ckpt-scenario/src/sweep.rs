@@ -5,7 +5,8 @@
 //!
 //! * explicit lists — `policy = ["formula3", "young", "daly", "none"]`;
 //! * ranges — `ckpt_cost_scale = { from = 0.25, to = 8, steps = 6 }`,
-//!   linearly spaced (or geometrically with `log = true`).
+//!   linearly spaced (or geometrically with `log = true`), at most
+//!   [`MAX_RANGE_STEPS`] steps.
 //!
 //! Expansion order is row-major over the axes in file order: the last axis
 //! varies fastest. Cell `i` therefore has a stable meaning independent of
