@@ -1,7 +1,12 @@
 //! The structured output frame and the one shared renderer behind every
 //! CSV file, JSON document, and stdout table in the workspace.
+//!
+//! The CSV and JSON renderers append into one caller-owned `String`
+//! (`write_csv`, `write_json`); `to_csv` and `to_json` call them on an
+//! empty one. Each rendering keeps one [`FloatText`], so a run of
+//! equal-bit floats in a row is formatted once.
 
-use crate::value::{csv_field, json_escape, Value};
+use crate::value::{push_csv_field, push_json_string, FloatText, Value};
 
 /// A named table of results: columns, typed rows, and `(key, value)`
 /// metadata. Frames are the unit of experiment output — one frame per
@@ -89,66 +94,103 @@ impl Frame {
     /// floats, RFC-4180 quoting.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let header: Vec<String> = self.columns.iter().map(|c| csv_field(c)).collect();
-        out.push_str(&header.join(","));
+        self.write_csv(&mut out);
+        out
+    }
+
+    /// Append the CSV rendering of [`Frame::to_csv`] to `out`.
+    pub fn write_csv(&self, out: &mut String) {
+        for (i, c) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_csv_field(out, c);
+        }
         out.push('\n');
+        let mut floats = FloatText::default();
         for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(Value::render_csv).collect();
-            out.push_str(&cells.join(","));
+            for (i, v) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                v.write_csv(out, &mut floats);
+            }
             out.push('\n');
         }
-        out
     }
 
     /// Render as a self-describing JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out, 0);
-        out.push('\n');
+        self.write_json(&mut out);
         out
     }
 
-    /// Write the frame's JSON object at the given indentation level
+    /// Append the JSON document of [`Frame::to_json`] to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        self.write_json_object(out, 0);
+        out.push('\n');
+    }
+
+    /// Append the frame's JSON object at the given indentation level
     /// (no trailing newline), so frames can nest inside an
     /// [`ExpOutput`] document.
-    pub(crate) fn write_json(&self, out: &mut String, indent: usize) {
+    fn write_json_object(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!(
-            "{pad}  \"name\": \"{}\",\n",
-            json_escape(&self.name)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"title\": \"{}\",\n",
-            json_escape(&self.title)
-        ));
-        let meta: Vec<String> = self
-            .metadata
-            .iter()
-            .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        out.push_str(&format!("{pad}  \"metadata\": {{{}}},\n", meta.join(", ")));
-        let cols: Vec<String> = self
-            .columns
-            .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
-            .collect();
-        out.push_str(&format!("{pad}  \"columns\": [{}],\n", cols.join(", ")));
-        if self.rows.is_empty() {
-            out.push_str(&format!("{pad}  \"rows\": []\n"));
-        } else {
-            out.push_str(&format!("{pad}  \"rows\": [\n"));
-            for (i, row) in self.rows.iter().enumerate() {
-                let cells: Vec<String> = row.iter().map(Value::render_json).collect();
-                out.push_str(&format!(
-                    "{pad}    [{}]{}\n",
-                    cells.join(", "),
-                    if i + 1 < self.rows.len() { "," } else { "" }
-                ));
+        let field = |out: &mut String, key: &str| {
+            out.push_str(&pad);
+            out.push_str("  \"");
+            out.push_str(key);
+            out.push_str("\": ");
+        };
+        out.push_str(&pad);
+        out.push_str("{\n");
+        field(out, "name");
+        push_json_string(out, &self.name);
+        out.push_str(",\n");
+        field(out, "title");
+        push_json_string(out, &self.title);
+        out.push_str(",\n");
+        field(out, "metadata");
+        out.push('{');
+        for (i, (k, v)) in self.metadata.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
             }
-            out.push_str(&format!("{pad}  ]\n"));
+            push_json_string(out, k);
+            out.push_str(": ");
+            push_json_string(out, v);
         }
-        out.push_str(&format!("{pad}}}"));
+        out.push_str("},\n");
+        field(out, "columns");
+        push_json_list(out, &self.columns);
+        out.push_str(",\n");
+        field(out, "rows");
+        if self.rows.is_empty() {
+            out.push_str("[]\n");
+        } else {
+            out.push_str("[\n");
+            let mut floats = FloatText::default();
+            for (r, row) in self.rows.iter().enumerate() {
+                out.push_str(&pad);
+                out.push_str("    [");
+                for (i, v) in row.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    v.write_json(out, &mut floats);
+                }
+                out.push_str(if r + 1 < self.rows.len() {
+                    "],\n"
+                } else {
+                    "]\n"
+                });
+            }
+            out.push_str(&pad);
+            out.push_str("  ]\n");
+        }
+        out.push_str(&pad);
+        out.push('}');
     }
 
     /// Render as an aligned text table with a title banner and any
@@ -223,13 +265,20 @@ impl ExpOutput {
     /// Render the whole output as one JSON document:
     /// `{"frames": [...], "notes": [...]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the JSON document of [`ExpOutput::to_json`] to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\n");
         if self.frames.is_empty() {
             out.push_str("  \"frames\": [],\n");
         } else {
             out.push_str("  \"frames\": [\n");
             for (i, f) in self.frames.iter().enumerate() {
-                f.write_json(&mut out, 2);
+                f.write_json_object(out, 2);
                 out.push_str(if i + 1 < self.frames.len() {
                     ",\n"
                 } else {
@@ -238,15 +287,22 @@ impl ExpOutput {
             }
             out.push_str("  ],\n");
         }
-        let notes: Vec<String> = self
-            .notes
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
-        out.push_str(&format!("  \"notes\": [{}]\n", notes.join(", ")));
-        out.push_str("}\n");
-        out
+        out.push_str("  \"notes\": ");
+        push_json_list(out, &self.notes);
+        out.push_str("\n}\n");
     }
+}
+
+/// Append `items` as a one-line JSON array of strings.
+fn push_json_list(out: &mut String, items: &[String]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_json_string(out, item);
+    }
+    out.push(']');
 }
 
 #[cfg(test)]

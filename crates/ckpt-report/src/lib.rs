@@ -26,12 +26,30 @@
 //! `ckpt-scenario`'s sweep exports and `ckpt-bench`'s experiment registry
 //! both build on these types, so a sweep cell and a standalone experiment
 //! share one execution and export path.
+//!
+//! ## The writer contract
+//!
+//! * **One buffer.** [`Frame::write_csv`], [`Frame::write_json`] and
+//!   [`ExpOutput::write_json`] append into a caller's `String`, and the
+//!   `to_*` methods are the same writers on a fresh one. Cells, rows and
+//!   JSON lines are appended in place; none is built as a `String` of its
+//!   own first.
+//! * **Each float formatted once per run of equal bits.** [`FloatText`]
+//!   keeps the text of the last float a writer formatted, so a count-1
+//!   statistics row (`mean = p50 = p99 = min = max`) formats one float
+//!   and copies its text.
+//! * **One frame per export.** `ckpt_scenario::write_outputs` builds the
+//!   frame once and renders both of its files through one buffer.
+//! * **Bytes unchanged.** The output is byte-identical to the earlier
+//!   join-based writer, which survives as a test-only oracle.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod context;
 pub mod frame;
+#[cfg(test)]
+mod oracle;
 pub mod sink;
 pub mod telemetry;
 pub mod value;
@@ -40,4 +58,4 @@ pub use context::{seed_from_env, RunContext, Scale, DEFAULT_SEED};
 pub use frame::{ExpOutput, Frame};
 pub use sink::{Format, Sink};
 pub use telemetry::{counters_frame, timings_json, write_telemetry};
-pub use value::{compact_f64, csv_field, fmt_f64, json_escape, json_num, Value};
+pub use value::{compact_f64, push_csv_field, push_int, push_json_string, FloatText, Value};

@@ -104,23 +104,27 @@ impl Sink {
         self
     }
 
-    fn render(frame: &Frame, format: Format) -> String {
+    /// Append `frame` rendered as `format` to `out`.
+    fn render_into(frame: &Frame, format: Format, out: &mut String) {
         match format {
-            Format::Table => frame.to_table(),
-            Format::Csv => frame.to_csv(),
-            Format::Json => frame.to_json(),
+            Format::Table => out.push_str(&frame.to_table()),
+            Format::Csv => frame.write_csv(out),
+            Format::Json => frame.write_json(out),
         }
     }
 
     /// Emit an output: render frames (and notes) onto `w` and, when a
     /// directory is attached, write one file per frame. Returns the file
-    /// paths written.
+    /// paths written. Every rendering goes through one buffer, cleared
+    /// and reused from frame to frame.
     pub fn emit_to(&self, output: &ExpOutput, w: &mut dyn Write) -> std::io::Result<Vec<PathBuf>> {
+        let mut buf = String::new();
         if !self.quiet {
             match self.format {
                 Format::Json => {
                     // One document for the whole output, notes included.
-                    w.write_all(output.to_json().as_bytes())?;
+                    output.write_json(&mut buf);
+                    w.write_all(buf.as_bytes())?;
                 }
                 Format::Table => {
                     for frame in &output.frames {
@@ -132,8 +136,12 @@ impl Sink {
                 }
                 Format::Csv => {
                     for frame in &output.frames {
-                        writeln!(w, "# frame: {}", frame.name)?;
-                        w.write_all(frame.to_csv().as_bytes())?;
+                        buf.clear();
+                        buf.push_str("# frame: ");
+                        buf.push_str(&frame.name);
+                        buf.push('\n');
+                        frame.write_csv(&mut buf);
+                        w.write_all(buf.as_bytes())?;
                     }
                 }
             }
@@ -143,7 +151,9 @@ impl Sink {
             std::fs::create_dir_all(dir)?;
             for frame in &output.frames {
                 let path = dir.join(format!("{}.{}", frame.name, self.file_format.extension()));
-                std::fs::write(&path, Self::render(frame, self.file_format))?;
+                buf.clear();
+                Self::render_into(frame, self.file_format, &mut buf);
+                std::fs::write(&path, &buf)?;
                 paths.push(path);
             }
         }

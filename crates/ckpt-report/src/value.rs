@@ -1,5 +1,8 @@
-//! Typed frame cells and the deterministic scalar renderers shared by
-//! every output format in the workspace.
+//! Typed frame cells and the deterministic scalar writers shared by
+//! every output format in the workspace. Every writer appends to a
+//! caller's `String`; none allocates a string of its own per cell.
+
+use std::fmt::Write;
 
 /// One cell of a [`crate::Frame`] row.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,21 +18,27 @@ pub enum Value {
 }
 
 impl Value {
-    /// Render for a CSV field (full precision, RFC-4180 quoting).
-    pub fn render_csv(&self) -> String {
+    /// Append as a CSV field: full-precision floats with explicit `NaN` /
+    /// `inf` spellings, RFC-4180 quoting for text. `floats` remembers the
+    /// last float's text, so a run of equal-bit floats is formatted once.
+    pub fn write_csv(&self, out: &mut String, floats: &mut FloatText) {
         match self {
-            Value::Text(s) => csv_field(s),
-            Value::Int(i) => i.to_string(),
-            Value::Num(v) => fmt_f64(*v),
+            Value::Text(s) => push_csv_field(out, s),
+            Value::Int(i) => push_int(out, *i),
+            Value::Num(v) if v.is_nan() => out.push_str("NaN"),
+            Value::Num(v) if v.is_infinite() => out.push_str(if *v > 0.0 { "inf" } else { "-inf" }),
+            Value::Num(v) => out.push_str(floats.display(*v)),
         }
     }
 
-    /// Render as a JSON value (numbers stay numbers; NaN/inf become null).
-    pub fn render_json(&self) -> String {
+    /// Append as a JSON value: numbers stay numbers, NaN/inf become
+    /// `null` (JSON has neither). `floats` as in [`Value::write_csv`].
+    pub fn write_json(&self, out: &mut String, floats: &mut FloatText) {
         match self {
-            Value::Text(s) => format!("\"{}\"", json_escape(s)),
-            Value::Int(i) => i.to_string(),
-            Value::Num(v) => json_num(*v),
+            Value::Text(s) => push_json_string(out, s),
+            Value::Int(i) => push_int(out, *i),
+            Value::Num(v) if !v.is_finite() => out.push_str("null"),
+            Value::Num(v) => out.push_str(floats.display(*v)),
         }
     }
 
@@ -40,6 +49,31 @@ impl Value {
             Value::Int(i) => i.to_string(),
             Value::Num(v) => compact_f64(*v),
         }
+    }
+}
+
+/// The text of the last finite float a writer formatted, keyed by its
+/// bits. A count-1 statistics row has `mean = p50 = p99 = min = max`;
+/// with this memo it formats that float once and copies the text four
+/// times. Equal bits always render equal text, so reuse never changes a
+/// byte.
+#[derive(Debug, Default)]
+pub struct FloatText {
+    bits: Option<u64>,
+    text: String,
+}
+
+impl FloatText {
+    /// `v` in Rust's shortest-roundtrip `Display` form, formatted only
+    /// when its bits differ from the previous call's.
+    pub fn display(&mut self, v: f64) -> &str {
+        let bits = v.to_bits();
+        if self.bits != Some(bits) {
+            self.text.clear();
+            write!(self.text, "{v}").expect("formatting into a String cannot fail");
+            self.bits = Some(bits);
+        }
+        &self.text
     }
 }
 
@@ -102,57 +136,58 @@ macro_rules! row {
     };
 }
 
-/// Deterministic full-precision float rendering for CSV (shortest
-/// roundtrip, with explicit `NaN` / `inf` spellings).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 {
-            "inf".to_string()
-        } else {
-            "-inf".to_string()
+/// Append an integer in decimal.
+pub fn push_int(out: &mut String, i: i64) {
+    write!(out, "{i}").expect("formatting into a String cannot fail");
+}
+
+/// Append `s` as a CSV field with RFC-4180 quoting: a value containing
+/// the delimiter, quotes, or line breaks (e.g. a path with a comma) is
+/// wrapped and its quotes doubled instead of silently shifting columns.
+pub fn push_csv_field(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+        out.push_str(s);
+        return;
+    }
+    out.push('"');
+    for (i, part) in s.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
         }
-    } else {
-        format!("{v}")
+        out.push_str(part);
     }
+    out.push('"');
 }
 
-/// JSON number rendering: JSON has no NaN/inf, so they become `null`.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// RFC-4180-style quoting for a CSV field: values containing the
-/// delimiter, quotes, or newlines (e.g. a path with a comma) are wrapped
-/// and escaped instead of silently shifting columns.
-pub fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Escape a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Append `s` as a quoted JSON string. Quotes, backslashes and control
+/// characters below U+0020 are escaped; everything else (non-ASCII
+/// included) is copied through in runs between escapes.
+pub fn push_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Format a float compactly for aligned table cells.
@@ -180,22 +215,44 @@ pub fn compact_f64(v: f64) -> String {
 mod tests {
     use super::*;
 
+    fn csv(v: Value) -> String {
+        let mut out = String::new();
+        v.write_csv(&mut out, &mut FloatText::default());
+        out
+    }
+
+    fn json(v: Value) -> String {
+        let mut out = String::new();
+        v.write_json(&mut out, &mut FloatText::default());
+        out
+    }
+
     #[test]
     fn csv_rendering_is_typed() {
-        assert_eq!(Value::from("a,b").render_csv(), "\"a,b\"");
-        assert_eq!(Value::from(3u32).render_csv(), "3");
-        assert_eq!(Value::from(0.1).render_csv(), "0.1");
-        assert_eq!(Value::Num(f64::NAN).render_csv(), "NaN");
+        assert_eq!(csv(Value::from("a,b")), "\"a,b\"");
+        assert_eq!(csv(Value::from("say \"hi\"")), "\"say \"\"hi\"\"\"");
+        assert_eq!(csv(Value::from(3u32)), "3");
+        assert_eq!(csv(Value::from(0.1)), "0.1");
+        assert_eq!(csv(Value::Num(f64::NAN)), "NaN");
+        assert_eq!(csv(Value::Num(f64::NEG_INFINITY)), "-inf");
     }
 
     #[test]
     fn json_rendering_is_typed() {
-        assert_eq!(
-            Value::from("say \"hi\"").render_json(),
-            "\"say \\\"hi\\\"\""
-        );
-        assert_eq!(Value::from(3usize).render_json(), "3");
-        assert_eq!(Value::Num(f64::INFINITY).render_json(), "null");
+        assert_eq!(json(Value::from("say \"hi\"")), "\"say \\\"hi\\\"\"");
+        assert_eq!(json(Value::from("a\u{1}\\é")), "\"a\\u0001\\\\é\"");
+        assert_eq!(json(Value::from(3usize)), "3");
+        assert_eq!(json(Value::Num(f64::INFINITY)), "null");
+    }
+
+    #[test]
+    fn float_text_reuses_only_equal_bits() {
+        let mut floats = FloatText::default();
+        assert_eq!(floats.display(0.5), "0.5");
+        assert_eq!(floats.display(0.5), "0.5");
+        assert_eq!(floats.display(-0.0), "-0");
+        assert_eq!(floats.display(0.0), "0");
+        assert_eq!(floats.display(1e21), "1000000000000000000000");
     }
 
     #[test]
@@ -211,7 +268,7 @@ mod tests {
     #[test]
     fn u64_past_i64_max_renders_exactly_as_text() {
         assert_eq!(Value::from(u64::MAX), Value::Text(u64::MAX.to_string()));
-        assert_eq!(Value::from(u64::MAX).render_csv(), "18446744073709551615");
+        assert_eq!(csv(Value::from(u64::MAX)), "18446744073709551615");
         assert_eq!(Value::from(3u64), Value::Int(3));
     }
 

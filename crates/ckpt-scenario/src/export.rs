@@ -56,9 +56,14 @@ pub fn to_frame(spec: &SweepSpec, result: &SweepResult) -> Frame {
         .with_meta("seed", result.seed.to_string())
         .with_meta("grid_size", spec.grid_size().to_string())
         .with_meta("axes", axes.join(" x "));
+    frame
+        .rows
+        .reserve(result.cells.iter().map(|c| c.metrics.len()).sum());
+    let width = frame.columns.len();
     for cell in &result.cells {
         for (metric, s) in &cell.metrics {
-            let mut row: Vec<Value> = vec![Value::from(cell.index)];
+            let mut row: Vec<Value> = Vec::with_capacity(width);
+            row.push(Value::from(cell.index));
             row.extend(
                 cell.params
                     .iter()
@@ -95,7 +100,9 @@ pub fn json_string(spec: &SweepSpec, result: &SweepResult) -> String {
 }
 
 /// Write `<out_dir>/<name>_cells.csv` and `<out_dir>/<name>_summary.json`;
-/// returns both paths.
+/// returns both paths. The cells frame is built once and both files are
+/// rendered through one buffer, so the export holds the frame plus the
+/// larger of the two documents, never both.
 pub fn write_outputs(
     spec: &SweepSpec,
     result: &SweepResult,
@@ -105,8 +112,13 @@ pub fn write_outputs(
     std::fs::create_dir_all(dir)?;
     let csv_path = dir.join(format!("{}_cells.csv", result.name));
     let json_path = dir.join(format!("{}_summary.json", result.name));
-    std::fs::write(&csv_path, csv_string(spec, result))?;
-    std::fs::write(&json_path, json_string(spec, result))?;
+    let frame = to_frame(spec, result);
+    let mut buf = String::new();
+    frame.write_csv(&mut buf);
+    std::fs::write(&csv_path, &buf)?;
+    buf.clear();
+    frame.write_json(&mut buf);
+    std::fs::write(&json_path, &buf)?;
     Ok((csv_path, json_path))
 }
 
@@ -225,7 +237,10 @@ mod tests {
             std::fs::read_to_string(&csv).unwrap(),
             csv_string(&sweep, &result)
         );
-        assert!(std::fs::read_to_string(&json).unwrap().contains("\"rows\""));
+        assert_eq!(
+            std::fs::read_to_string(&json).unwrap(),
+            json_string(&sweep, &result)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
