@@ -5,7 +5,8 @@
 //! records its measurement in `BENCH_des.json` at the repo root, and the
 //! fast-path sweep throughput benchmark (cells/sec on the
 //! `policy_x_ckpt_cost` acceptance grid), which records `BENCH_sweep.json`
-//! the same way.
+//! the same way, and the export writer's throughput (MB/s of CSV and
+//! JSON for a 30,000-cell analytic grid).
 //!
 //! `CKPT_BENCH_ONLY=<substring>` restricts a run to matching bench groups
 //! (the CI smoke uses `CKPT_BENCH_ONLY=sweep_throughput`).
@@ -13,8 +14,8 @@
 use ckpt_faults::{FaultPlan, FaultState};
 use ckpt_obs::{Counter, Counters, Observer, Telemetry};
 use ckpt_scenario::{
-    run_sweep, run_sweep_checkpointed, run_sweep_guarded, run_sweep_telemetry, CheckpointConfig,
-    FaultPolicy, SweepOptions, SweepSpec,
+    run_sweep, run_sweep_checkpointed, run_sweep_guarded, run_sweep_telemetry, to_frame,
+    write_outputs, CheckpointConfig, FaultPolicy, SweepOptions, SweepSpec,
 };
 use ckpt_sim::cluster::{ClusterConfig, ClusterSim, SimBudget};
 use ckpt_sim::policy::{Estimates, PolicyConfig};
@@ -25,7 +26,7 @@ use ckpt_trace::gen::generate;
 use ckpt_trace::spec::WorkloadSpec;
 use ckpt_trace::stats::trace_histories;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn config() -> Criterion {
     Criterion::default()
@@ -358,6 +359,69 @@ fn bench_failure_samplers(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 30,000-cell `ckpt-cost` grid, the shape of perfbench's
+/// `grid_crash_resume` workload: 2 devices × 150 log-spaced memory sizes
+/// × 100 checkpoint counts, two count-1 metric rows per cell.
+const EXPORT_GRID: &str = r#"
+    [sweep]
+    name = "bench_export"
+    engine = "ckpt-cost"
+
+    [axes]
+    device = ["ramdisk", "nfs"]
+    mem_mb = { from = 1.5, to = 700, steps = 150, log = true }
+    n_checkpoints = { from = 1, to = 100, steps = 100 }
+"#;
+
+/// Export throughput, the "export MB/s" layer: `Frame::to_csv` and
+/// `Frame::to_json` on the 30,000-cell frame, and `write_outputs`, which
+/// builds that frame and writes both files. Besides the shim's time per
+/// call, prints the median MB/s (10^6 bytes of rendered document per
+/// second) over the measured samples.
+fn bench_export_throughput(c: &mut Criterion) {
+    if !bench_enabled("export_throughput") {
+        return;
+    }
+    let sweep = SweepSpec::from_str(EXPORT_GRID).expect("spec parses");
+    let result = run_sweep(&sweep, SweepOptions::default()).expect("sweep runs");
+    let frame = to_frame(&sweep, &result);
+    let (csv_bytes, json_bytes) = (frame.to_csv().len(), frame.to_json().len());
+    let dir = std::env::temp_dir().join(format!("ckpt_bench_export_{}", std::process::id()));
+    let mut g = c.benchmark_group("export_throughput");
+    let mut measure = |name: &str, bytes: usize, f: &mut dyn FnMut() -> usize| {
+        let mut rates = Vec::new();
+        g.bench_function(name, |b| {
+            let mut calls = 0u64;
+            let start = Instant::now();
+            b.iter(|| {
+                calls += 1;
+                f()
+            });
+            rates.push(bytes as f64 * calls as f64 / 1e6 / start.elapsed().as_secs_f64());
+        });
+        rates.sort_by(f64::total_cmp);
+        println!(
+            "export_throughput/{name:<30} MB/s: {:.1}  ({bytes} bytes per call, {} cells)",
+            rates[rates.len() / 2],
+            result.cells.len()
+        );
+    };
+    measure("to_csv_30k_cells", csv_bytes, &mut || frame.to_csv().len());
+    measure("to_json_30k_cells", json_bytes, &mut || {
+        frame.to_json().len()
+    });
+    measure(
+        "write_outputs_30k_cells",
+        csv_bytes + json_bytes,
+        &mut || {
+            let (csv, _) = write_outputs(&sweep, &result, &dir).expect("outputs written");
+            csv.as_os_str().len()
+        },
+    );
+    g.finish();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `policy_x_ckpt_cost` acceptance grid, verbatim — the sweep the
 /// fast-path rewrite (plan arena + allocation-free replay) was measured
 /// against.
@@ -571,6 +635,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_expansion, bench_cells_per_sec, bench_scaling, bench_des_throughput,
-        bench_failure_samplers, bench_sweep_throughput
+        bench_failure_samplers, bench_sweep_throughput, bench_export_throughput
 }
 criterion_main!(benches);
