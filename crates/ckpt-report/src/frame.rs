@@ -265,20 +265,13 @@ impl ExpOutput {
     /// Render the whole output as one JSON document:
     /// `{"frames": [...], "notes": [...]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    /// Append the JSON document of [`ExpOutput::to_json`] to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\n");
+        let mut out = String::from("{\n");
         if self.frames.is_empty() {
             out.push_str("  \"frames\": [],\n");
         } else {
             out.push_str("  \"frames\": [\n");
             for (i, f) in self.frames.iter().enumerate() {
-                f.write_json_object(out, 2);
+                f.write_json_object(&mut out, 2);
                 out.push_str(if i + 1 < self.frames.len() {
                     ",\n"
                 } else {
@@ -288,8 +281,9 @@ impl ExpOutput {
             out.push_str("  ],\n");
         }
         out.push_str("  \"notes\": ");
-        push_json_list(out, &self.notes);
+        push_json_list(&mut out, &self.notes);
         out.push_str("\n}\n");
+        out
     }
 }
 

@@ -115,16 +115,15 @@ impl Sink {
 
     /// Emit an output: render frames (and notes) onto `w` and, when a
     /// directory is attached, write one file per frame. Returns the file
-    /// paths written. Every rendering goes through one buffer, cleared
-    /// and reused from frame to frame.
+    /// paths written. The CSV stream and the per-frame files render
+    /// through one buffer, cleared and reused from frame to frame.
     pub fn emit_to(&self, output: &ExpOutput, w: &mut dyn Write) -> std::io::Result<Vec<PathBuf>> {
         let mut buf = String::new();
         if !self.quiet {
             match self.format {
                 Format::Json => {
                     // One document for the whole output, notes included.
-                    output.write_json(&mut buf);
-                    w.write_all(buf.as_bytes())?;
+                    w.write_all(output.to_json().as_bytes())?;
                 }
                 Format::Table => {
                     for frame in &output.frames {

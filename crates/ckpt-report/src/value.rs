@@ -137,7 +137,7 @@ macro_rules! row {
 }
 
 /// Append an integer in decimal.
-pub fn push_int(out: &mut String, i: i64) {
+fn push_int(out: &mut String, i: i64) {
     write!(out, "{i}").expect("formatting into a String cannot fail");
 }
 
