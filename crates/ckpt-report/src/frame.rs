@@ -3,7 +3,7 @@
 //!
 //! The CSV and JSON renderers append into one caller-owned `String`
 //! (`write_csv`, `write_json`); `to_csv` and `to_json` call them on an
-//! empty one. Each rendering keeps one [`FloatText`], so a run of
+//! empty one. Each rendering keeps one `FloatText`, so a run of
 //! equal-bit floats in a row is formatted once.
 
 use crate::value::{push_csv_field, push_json_string, FloatText, Value};

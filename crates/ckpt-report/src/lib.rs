@@ -34,7 +34,7 @@
 //!   writers on a fresh one ([`ExpOutput::to_json`] nests each frame's
 //!   object into its document the same way). Cells, rows and JSON lines
 //!   are appended in place; none is built as a `String` of its own first.
-//! * **Each float formatted once per run of equal bits.** [`FloatText`]
+//! * **Each float formatted once per run of equal bits.** `FloatText`
 //!   keeps the text of the last float a writer formatted, so a count-1
 //!   statistics row (`mean = p50 = p99 = min = max`) formats one float
 //!   and copies its text.
@@ -58,4 +58,4 @@ pub use context::{seed_from_env, RunContext, Scale, DEFAULT_SEED};
 pub use frame::{ExpOutput, Frame};
 pub use sink::{Format, Sink};
 pub use telemetry::{counters_frame, timings_json, write_telemetry};
-pub use value::{compact_f64, push_csv_field, push_json_string, FloatText, Value};
+pub use value::{compact_f64, Value};

@@ -21,7 +21,7 @@ impl Value {
     /// Append as a CSV field: full-precision floats with explicit `NaN` /
     /// `inf` spellings, RFC-4180 quoting for text. `floats` remembers the
     /// last float's text, so a run of equal-bit floats is formatted once.
-    pub fn write_csv(&self, out: &mut String, floats: &mut FloatText) {
+    pub(crate) fn write_csv(&self, out: &mut String, floats: &mut FloatText) {
         match self {
             Value::Text(s) => push_csv_field(out, s),
             Value::Int(i) => push_int(out, *i),
@@ -33,7 +33,7 @@ impl Value {
 
     /// Append as a JSON value: numbers stay numbers, NaN/inf become
     /// `null` (JSON has neither). `floats` as in [`Value::write_csv`].
-    pub fn write_json(&self, out: &mut String, floats: &mut FloatText) {
+    pub(crate) fn write_json(&self, out: &mut String, floats: &mut FloatText) {
         match self {
             Value::Text(s) => push_json_string(out, s),
             Value::Int(i) => push_int(out, *i),
@@ -58,7 +58,7 @@ impl Value {
 /// times. Equal bits always render equal text, so reuse never changes a
 /// byte.
 #[derive(Debug, Default)]
-pub struct FloatText {
+pub(crate) struct FloatText {
     bits: Option<u64>,
     text: String,
 }
@@ -66,7 +66,7 @@ pub struct FloatText {
 impl FloatText {
     /// `v` in Rust's shortest-roundtrip `Display` form, formatted only
     /// when its bits differ from the previous call's.
-    pub fn display(&mut self, v: f64) -> &str {
+    pub(crate) fn display(&mut self, v: f64) -> &str {
         let bits = v.to_bits();
         if self.bits != Some(bits) {
             self.text.clear();
@@ -144,7 +144,7 @@ fn push_int(out: &mut String, i: i64) {
 /// Append `s` as a CSV field with RFC-4180 quoting: a value containing
 /// the delimiter, quotes, or line breaks (e.g. a path with a comma) is
 /// wrapped and its quotes doubled instead of silently shifting columns.
-pub fn push_csv_field(out: &mut String, s: &str) {
+pub(crate) fn push_csv_field(out: &mut String, s: &str) {
     if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
         out.push_str(s);
         return;
@@ -162,7 +162,7 @@ pub fn push_csv_field(out: &mut String, s: &str) {
 /// Append `s` as a quoted JSON string. Quotes, backslashes and control
 /// characters below U+0020 are escaped; everything else (non-ASCII
 /// included) is copied through in runs between escapes.
-pub fn push_json_string(out: &mut String, s: &str) {
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut run = 0;
